@@ -22,55 +22,37 @@
 //!                       the sar-worker binary) and are gated on the same
 //!                       invariants
 //!   kernelbench         single-host SAR kernel micro-benchmarks over a
-//!                       fixed seeded workload matrix; writes/checks the
-//!                       schema-versioned BENCH_kernels.json perf
-//!                       trajectory (own flags: --out PATH, --check PATH,
-//!                       --simd auto|scalar, --threads N, --quick)
+//!                       fixed seeded workload matrix, gated on roofline
+//!                       ratios against BENCH_kernels.json
+//!   servebench          closed-loop serving benchmark: a real 4-process
+//!                       sar-serve cluster over TCP loopback driven by
+//!                       concurrent clients (p50/p99 latency + QPS),
+//!                       gated on the serving invariants (all queries
+//!                       answered, MFG fetch strictly below the
+//!                       full-graph forward ceiling) of BENCH_serve.json
+//!   outofcorebench      out-of-core tiering benchmark: a memory-flatness
+//!                       sweep over the mmap-backed disk tier (graph
+//!                       scale grows 8x under a fixed budget; peak
+//!                       resident bytes must stay flat and the digest
+//!                       must match a never-spilling baseline bit for
+//!                       bit) plus training parity with --mem-budget on
+//!                       vs off across {sim,tcp} x {threads} x
+//!                       {prefetch-depth}, gated on BENCH_outofcore.json
+//!   compressbench       codec/protocol ablation: the smoke workloads
+//!                       across the {codec x protocol} grid (sim, plus a
+//!                       TCP subset), gated on the logical-vs-wire ledger
+//!                       invariants, cross-transport raw/exact digest
+//!                       equality and the accuracy floor of
+//!                       BENCH_compress.json
+//!
+//!                       The four benchmarks take only --out PATH (write
+//!                       the fresh artifact) and --check PATH (gate it
+//!                       against the committed one); their workloads are
+//!                       fixed. No gate compares timing magnitudes.
 //!   overlap-check       diff a freshly generated BENCH_overlap.json
 //!                       against the committed copy on run-set identity
 //!                       and ledger invariants (timings are not compared);
 //!                       flags: --current PATH --committed PATH
-//!   servebench          closed-loop serving benchmark: spawns a real
-//!                       4-process sar-serve cluster over TCP loopback,
-//!                       drives it with concurrent clients, reports
-//!                       p50/p99 latency + QPS, and writes/checks the
-//!                       schema-versioned BENCH_serve.json artifact
-//!                       (own flags: --out PATH, --check PATH, --world N,
-//!                       --nodes N, --archs a,b, --clients N,
-//!                       --requests N, --ids-per-request N,
-//!                       --max-batch N, --max-delay-us N, --cache-rows N,
-//!                       --threads N, --simd auto|scalar, --seed N).
-//!                       The gate never compares latency magnitudes —
-//!                       only schema/run-set identity and the serving
-//!                       invariants (all queries answered, MFG fetch
-//!                       strictly below the full-graph forward ceiling)
-//!   outofcorebench      out-of-core tiering benchmark: a memory-
-//!                       flatness sweep over the mmap-backed disk tier
-//!                       (graph scale grows 8x under a fixed budget;
-//!                       peak resident tensor bytes must stay flat and
-//!                       the result digest must match a never-spilling
-//!                       baseline bit for bit) plus end-to-end training
-//!                       parity runs with --mem-budget on vs off across
-//!                       {sim,tcp} x {threads} x {prefetch-depth};
-//!                       writes/checks the schema-versioned
-//!                       BENCH_outofcore.json artifact (own flags:
-//!                       --out PATH, --check PATH, --transport sim,tcp,
-//!                       --nodes N, --train-budget BYTES, --seed N,
-//!                       --quick). The gate never compares timings
-//!   compressbench       codec/protocol ablation: trains the smoke
-//!                       workloads across the {codec × protocol} grid
-//!                       (sim in-process, plus a TCP subset as real OS
-//!                       processes) and writes/checks the
-//!                       schema-versioned BENCH_compress.json artifact
-//!                       (own flags: --out PATH, --check PATH,
-//!                       --transport sim,tcp, --world N, --nodes N,
-//!                       --epochs N, --seed N, --quick). The gate never
-//!                       compares epoch-time magnitudes — only the run
-//!                       set, the logical-vs-wire ledger invariants
-//!                       (raw moves wire == logical, lossy codecs clear
-//!                       the 2x payload bar, gradonly/stale skip what
-//!                       they claim to skip), cross-transport raw/exact
-//!                       digest equality, and the accuracy floor
 //!   all                 everything above except smoke/kernelbench
 //!
 //! flags:
@@ -118,13 +100,18 @@
 //! blocked-vs-wall overlap summary, so the realized comm/compute overlap
 //! is tracked as a CI artifact.
 
+use sar_bench::compressbench::CompressBench;
 use sar_bench::experiments::{
     ablation_partition, ablation_prefetch, ablation_softmax, exactness, fig2, scaling, table1,
     ExpConfig, Workload,
 };
-use sar_bench::report::RunReport;
-use sar_bench::{compressbench, kernelbench, launcher, outofcorebench, servebench, smoke};
-use sar_core::{train, Arch};
+use sar_bench::harness::{cli, write_file};
+use sar_bench::json::{self, Obj};
+use sar_bench::kernelbench::KernelBench;
+use sar_bench::outofcorebench::OutOfCoreBench;
+use sar_bench::servebench::ServeBench;
+use sar_bench::smoke;
+use sar_core::Arch;
 
 struct Flags {
     cfg: ExpConfig,
@@ -257,43 +244,6 @@ fn parse_flags(args: &[String]) -> Flags {
     }
 }
 
-/// One smoke run's overlap record, destined for `BENCH_overlap.json`.
-struct OverlapRun {
-    experiment: String,
-    transport: &'static str,
-    threads: usize,
-    depth: usize,
-    simd: String,
-    /// Verbatim [`RunReport::overlap_json`] fragment.
-    fragment: String,
-}
-
-/// Assembles `DIR/BENCH_overlap.json` from the collected per-run overlap
-/// fragments (each fragment is already a JSON object, embedded verbatim).
-/// The committed copy at the repository root is diffed against this
-/// output by `repro overlap-check` in CI (run-set identity and ledger
-/// invariants only — timings vary freely).
-fn write_overlap_artifact(dir: &str, runs: &[OverlapRun]) -> Result<String, String> {
-    let mut s = String::from("{\n  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"transport\": \"{}\", \"threads\": {}, \
-             \"prefetch_depth\": {}, \"simd\": \"{}\", \"overlap\": {}}}{}\n",
-            r.experiment,
-            r.transport,
-            r.threads,
-            r.depth,
-            r.simd,
-            r.fragment.trim(),
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = format!("{dir}/BENCH_overlap.json");
-    std::fs::write(&path, s).map_err(|e| format!("cannot write {path}: {e}"))?;
-    Ok(path)
-}
-
 // ----------------------------------------------------------------------
 // `smoke` — the CI gate
 // ----------------------------------------------------------------------
@@ -323,28 +273,30 @@ fn report_path(dir: &str, exp: &str, k: usize, t: usize, d: usize, s: &str) -> S
 
 /// Scaled-down 4-worker GraphSage and GAT training runs whose
 /// observability ledgers are checked against the paper's communication
-/// claims. The workloads and the invariants live in [`sar_bench::smoke`],
-/// shared verbatim with the TCP backend. With more than one entry in
-/// `threads` or `depths`, the same workload runs once per combination and
-/// the runs' [`RunReport::parity_digest`]s must match exactly — the
-/// parallel kernels' and the pipelined exchange's bitwise-determinism
-/// contracts. Returns the violations found (empty = gate passes) and
-/// appends each run's overlap record to `overlaps`.
-fn smoke_sim(
-    cfg: &ExpConfig,
-    out_dir: Option<&str>,
-    models: &[&str],
-    threads: &[usize],
-    depths: &[usize],
-    simds: &[String],
-    mem_budget: u64,
-    overlaps: &mut Vec<OverlapRun>,
-) -> Vec<String> {
-    let nodes = cfg.products_nodes.min(1500);
+/// claims, in-process (`--transport sim`) or as one `sar-worker` OS
+/// process per rank over TCP loopback (`--transport tcp`). The workloads,
+/// the training launch and the invariants live in [`sar_bench::smoke`],
+/// shared verbatim by both backends. With more than one entry in
+/// `--threads`, `--prefetch-depth` or `--simd`, the same workload runs
+/// once per combination and the runs' parity digests must match exactly
+/// — the parallel kernels', the pipelined exchange's and the SIMD paths'
+/// bitwise-determinism contracts. With `--out DIR`, every report and
+/// `DIR/BENCH_overlap.json` (one per-phase blocked-vs-wall record per
+/// run, diffed against the committed copy by `repro overlap-check`) are
+/// written. Returns the violations found (empty = gate passes).
+fn smoke(flags: &Flags) -> Vec<String> {
+    let models: Vec<&str> = if flags.model == "all" {
+        smoke::MODELS.to_vec()
+    } else {
+        vec![flags.model.as_str()]
+    };
+    let transport = flags.transport.as_str();
+    let nodes = flags.cfg.products_nodes.min(1500);
+    let mut overlaps = Vec::new();
     let mut violations = Vec::new();
     for arch_name in models {
         let exp = format!("smoke-{arch_name}");
-        let base = match smoke::workload(arch_name, nodes, cfg.seed) {
+        let base = match smoke::workload(arch_name, nodes, flags.cfg.seed) {
             Ok(w) => w,
             Err(e) => {
                 violations.push(format!("{exp}: {e}"));
@@ -352,173 +304,29 @@ fn smoke_sim(
             }
         };
         let mut first_digest: Option<String> = None;
-        for (k, (t, d, s)) in combos(threads, depths, simds).into_iter().enumerate() {
+        let grid = combos(&flags.threads, &flags.depths, &flags.simds);
+        for (k, (t, d, s)) in grid.into_iter().enumerate() {
             let mut wl = base.clone();
             wl.threads = t;
             wl.prefetch_depth = d;
             wl.simd = s.clone();
-            wl.mem_budget = mem_budget;
-            // The combos run sequentially, so flipping the process-global
-            // dispatch mode per combination is race-free here.
-            match sar_tensor::simd::parse_mode(&wl.simd) {
-                Some(mode) => sar_tensor::simd::set_mode(mode),
-                None => {
-                    violations.push(format!("{exp}: unknown --simd {}", wl.simd));
-                    continue;
-                }
-            }
-            let (dataset, part) = match wl.build_data(smoke::WORLD) {
-                Ok(dp) => dp,
-                Err(e) => {
-                    violations.push(format!("{exp}: {e}"));
-                    continue;
-                }
-            };
-            let tcfg = match wl.train_config(&dataset) {
-                Ok(t) => t,
-                Err(e) => {
-                    violations.push(format!("{exp}: {e}"));
-                    continue;
-                }
-            };
+            wl.mem_budget = flags.mem_budget;
             eprintln!(
-                "[repro] smoke: training {arch_name}/{} on {} workers \
+                "[repro] smoke: training {arch_name}/{} on {} {transport} ranks \
                  (threads={t}, prefetch-depth={d}, simd={s}) ...",
                 wl.mode,
                 smoke::WORLD
             );
-            let run = train(&dataset, &part, cfg.cost_model(), &tcfg);
-            let report = RunReport::from_train(&exp, *arch_name, &wl.mode, &run);
+            let trained = smoke::train(transport, &wl, smoke::WORLD, &exp, flags.cfg.cost_model());
+            let (report, digest) = match trained {
+                Ok(r) => r,
+                Err(e) => {
+                    violations.push(format!("{exp}: {e}"));
+                    continue;
+                }
+            };
             smoke::ledger_table(&report).print();
             violations.extend(smoke::violations(&report, wl.epochs));
-            match &first_digest {
-                None => first_digest = Some(report.parity_digest()),
-                Some(d0) => {
-                    if let Some(diff) = smoke::digest_diff(d0, &report.parity_digest()) {
-                        violations.push(format!(
-                            "{exp}: --threads {t} --prefetch-depth {d} --simd {s} diverged \
-                             from the baseline combination — {diff}"
-                        ));
-                    }
-                }
-            }
-            overlaps.push(OverlapRun {
-                experiment: exp.clone(),
-                transport: "sim",
-                threads: t,
-                depth: d,
-                simd: s.clone(),
-                fragment: report.overlap_json(),
-            });
-            if let Some(dir) = out_dir {
-                let path = report_path(dir, &exp, k, t, d, &s);
-                match report.write_json(&path) {
-                    Ok(()) => eprintln!("[repro] wrote {path}"),
-                    Err(e) => violations.push(format!("{exp}: cannot write {path}: {e}")),
-                }
-            }
-        }
-    }
-    // Leave the process in the default dispatch mode for whatever runs next.
-    sar_tensor::simd::set_mode(sar_tensor::simd::SimdMode::Auto);
-    violations
-}
-
-/// The same smoke workloads as real OS processes: one `sar-worker`
-/// process per rank over TCP loopback. Rank 0 of each run gathers the
-/// ledgers, applies the same invariants (`--check smoke`) and writes the
-/// same RunReport JSON; any rank failure or invariant violation surfaces
-/// here as a non-zero child exit. Cross-thread-count parity is checked
-/// through rank 0's `--digest-out` file, since the report itself lives in
-/// the child process.
-fn smoke_tcp(
-    cfg: &ExpConfig,
-    out_dir: Option<&str>,
-    models: &[&str],
-    threads: &[usize],
-    depths: &[usize],
-    simds: &[String],
-    mem_budget: u64,
-    overlaps: &mut Vec<OverlapRun>,
-) -> Vec<String> {
-    let nodes = cfg.products_nodes.min(1500);
-    let exe = match launcher::sibling_binary("sar-worker") {
-        Ok(exe) => exe,
-        Err(e) => return vec![format!("smoke-tcp: {e}")],
-    };
-    let mut violations = Vec::new();
-    for arch_name in models {
-        let exp = format!("smoke-{arch_name}");
-        let base = match smoke::workload(arch_name, nodes, cfg.seed) {
-            Ok(w) => w,
-            Err(e) => {
-                violations.push(format!("{exp}: {e}"));
-                continue;
-            }
-        };
-        let mut first_digest: Option<String> = None;
-        for (k, (t, d, s)) in combos(threads, depths, simds).into_iter().enumerate() {
-            let mut wl = base.clone();
-            wl.threads = t;
-            wl.prefetch_depth = d;
-            wl.simd = s.clone();
-            wl.mem_budget = mem_budget;
-            let mut args = wl.to_args();
-            args.extend([
-                "--check".to_string(),
-                "smoke".to_string(),
-                "--experiment".to_string(),
-                exp.clone(),
-            ]);
-            let digest_path = std::env::temp_dir().join(format!(
-                "sar-{exp}-t{t}-d{d}-{s}-{}.digest",
-                std::process::id()
-            ));
-            let overlap_path = std::env::temp_dir().join(format!(
-                "sar-{exp}-t{t}-d{d}-{s}-{}.overlap",
-                std::process::id()
-            ));
-            args.extend([
-                "--digest-out".to_string(),
-                digest_path.display().to_string(),
-                "--overlap-out".to_string(),
-                overlap_path.display().to_string(),
-            ]);
-            if let Some(dir) = out_dir {
-                args.extend(["--out".to_string(), report_path(dir, &exp, k, t, d, &s)]);
-            }
-            eprintln!(
-                "[repro] smoke: training {arch_name}/{} on {} OS processes over TCP \
-                 (threads={t}, prefetch-depth={d}, simd={s}) ...",
-                wl.mode,
-                smoke::WORLD
-            );
-            if let Err(e) = launcher::spawn_ranks(&exe, smoke::WORLD, &args) {
-                violations.push(format!("{exp}: {e}"));
-                continue;
-            }
-            if let Ok(fragment) = std::fs::read_to_string(&overlap_path) {
-                overlaps.push(OverlapRun {
-                    experiment: exp.clone(),
-                    transport: "tcp",
-                    threads: t,
-                    depth: d,
-                    simd: s.clone(),
-                    fragment,
-                });
-            }
-            let _ = std::fs::remove_file(&overlap_path);
-            let digest = match std::fs::read_to_string(&digest_path) {
-                Ok(d) => d,
-                Err(e) => {
-                    violations.push(format!(
-                        "{exp}: rank 0 wrote no digest at {}: {e}",
-                        digest_path.display()
-                    ));
-                    continue;
-                }
-            };
-            let _ = std::fs::remove_file(&digest_path);
             match &first_digest {
                 None => first_digest = Some(digest),
                 Some(d0) => {
@@ -530,49 +338,31 @@ fn smoke_tcp(
                     }
                 }
             }
+            overlaps.push(
+                Obj::new()
+                    .str("experiment", &exp)
+                    .str("transport", transport)
+                    .raw("threads", t)
+                    .raw("prefetch_depth", d)
+                    .str("simd", &s)
+                    .raw("overlap", report.overlap_json())
+                    .finish(),
+            );
+            if let Some(dir) = &flags.out {
+                let path = report_path(dir, &exp, k, t, d, &s);
+                match write_file(&path, &report.to_json()) {
+                    Ok(()) => eprintln!("[repro] wrote {path}"),
+                    Err(e) => violations.push(format!("{exp}: {e}")),
+                }
+            }
         }
     }
-    violations
-}
-
-fn smoke(flags: &Flags) -> Vec<String> {
-    if let Some(dir) = flags.out.as_deref() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("[repro] cannot create {dir}: {e}");
-            std::process::exit(2);
-        }
-    }
-    let models: Vec<&str> = if flags.model == "all" {
-        smoke::MODELS.to_vec()
-    } else {
-        vec![flags.model.as_str()]
-    };
-    let mut overlaps = Vec::new();
-    let mut violations = match flags.transport.as_str() {
-        "tcp" => smoke_tcp(
-            &flags.cfg,
-            flags.out.as_deref(),
-            &models,
-            &flags.threads,
-            &flags.depths,
-            &flags.simds,
-            flags.mem_budget,
-            &mut overlaps,
-        ),
-        _ => smoke_sim(
-            &flags.cfg,
-            flags.out.as_deref(),
-            &models,
-            &flags.threads,
-            &flags.depths,
-            &flags.simds,
-            flags.mem_budget,
-            &mut overlaps,
-        ),
-    };
-    if let Some(dir) = flags.out.as_deref() {
-        match write_overlap_artifact(dir, &overlaps) {
-            Ok(path) => eprintln!("[repro] wrote {path}"),
+    // Leave the process in the default dispatch mode for whatever runs next.
+    sar_tensor::simd::set_mode(sar_tensor::simd::SimdMode::Auto);
+    if let Some(dir) = &flags.out {
+        let path = format!("{dir}/BENCH_overlap.json");
+        match write_file(&path, &json::document(&[], &[("runs", overlaps)])) {
+            Ok(()) => eprintln!("[repro] wrote {path}"),
             Err(e) => violations.push(format!("smoke: {e}")),
         }
     }
@@ -629,420 +419,6 @@ fn run(name: &str, cfg: &ExpConfig, worlds: Option<&[usize]>) {
     }
 }
 
-// ----------------------------------------------------------------------
-// `kernelbench` — the committed perf trajectory
-// ----------------------------------------------------------------------
-
-/// `repro kernelbench [--out PATH] [--check PATH] [--simd auto|scalar]
-/// [--threads N] [--quick]`: run the fixed kernel workload matrix, write
-/// the schema-versioned report, and/or gate against a committed baseline.
-fn kernelbench_cmd(args: &[String]) -> i32 {
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut threads = 1usize;
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" | "--check" | "--simd" | "--threads" => {
-                let key = args[i].clone();
-                i += 1;
-                let Some(v) = args.get(i).cloned() else {
-                    eprintln!("missing value for {key}");
-                    return 2;
-                };
-                match key.as_str() {
-                    "--out" => out = Some(v),
-                    "--check" => check = Some(v),
-                    "--simd" => match sar_tensor::simd::parse_mode(&v) {
-                        Some(mode) => sar_tensor::simd::set_mode(mode),
-                        None => {
-                            eprintln!("--simd must be auto or scalar, not {v}");
-                            return 2;
-                        }
-                    },
-                    _ => match v.parse::<usize>() {
-                        Ok(t) if t >= 1 => threads = t,
-                        _ => {
-                            eprintln!("--threads takes a count >= 1");
-                            return 2;
-                        }
-                    },
-                }
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown kernelbench flag: {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
-    sar_tensor::pool::set_threads(threads);
-    eprintln!(
-        "[repro] kernelbench: simd={}, threads={threads}{} ...",
-        sar_tensor::simd::dispatch_label(),
-        if quick { ", quick" } else { "" }
-    );
-    let report = kernelbench::run_bench(quick);
-    kernelbench::print_table(&report);
-    if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
-        }
-        match report.write_json(path) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "[repro] kernelbench FAIL: no baseline at {path}: {e} — \
-                     generate one with `repro kernelbench --out {path}`"
-                );
-                return 1;
-            }
-        };
-        let violations = kernelbench::check_against(&report, &baseline);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] kernelbench REGRESSION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] kernelbench: all kernels within tolerance of {path}");
-    }
-    0
-}
-
-/// `repro servebench [--out PATH] [--check PATH] [workload flags]`: spawn
-/// a real `sar-serve` cluster per architecture, drive it with the
-/// deterministic closed-loop client load, write the schema-versioned
-/// report, and/or gate against the committed `BENCH_serve.json`.
-fn servebench_cmd(args: &[String]) -> i32 {
-    let mut cfg = servebench::ServeBenchConfig::default();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        i += 1;
-        let Some(v) = args.get(i).cloned() else {
-            eprintln!("missing value for {key}");
-            return 2;
-        };
-        let parse_usize = |v: &str, key: &str| -> Result<usize, i32> {
-            v.parse::<usize>().map_err(|_| {
-                eprintln!("{key} takes a non-negative integer, not {v}");
-                2
-            })
-        };
-        let r = (|| -> Result<(), i32> {
-            match key.as_str() {
-                "--out" => out = Some(v.clone()),
-                "--check" => check = Some(v.clone()),
-                "--world" => cfg.world = parse_usize(&v, &key)?.max(1),
-                "--nodes" => cfg.nodes = parse_usize(&v, &key)?,
-                "--archs" => cfg.archs = v.split(',').map(str::to_string).collect(),
-                "--clients" => cfg.clients = parse_usize(&v, &key)?.max(1),
-                "--requests" => cfg.requests = parse_usize(&v, &key)?.max(1),
-                "--ids-per-request" => cfg.ids_per_request = parse_usize(&v, &key)?.max(1),
-                "--max-batch" => cfg.max_batch = parse_usize(&v, &key)?.max(1),
-                "--max-delay-us" => cfg.max_delay_us = parse_usize(&v, &key)? as u64,
-                "--cache-rows" => cfg.cache_rows = parse_usize(&v, &key)?,
-                "--threads" => cfg.threads = parse_usize(&v, &key)?.max(1),
-                "--simd" => {
-                    if sar_tensor::simd::parse_mode(&v).is_none() {
-                        eprintln!("--simd must be auto or scalar, not {v}");
-                        return Err(2);
-                    }
-                    cfg.simd = v.clone();
-                }
-                "--seed" => cfg.seed = parse_usize(&v, &key)? as u64,
-                other => {
-                    eprintln!("unknown servebench flag: {other}");
-                    return Err(2);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(code) = r {
-            return code;
-        }
-        i += 1;
-    }
-    let exe = match launcher::sibling_binary("sar-serve") {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("[repro] servebench: {e}");
-            return 2;
-        }
-    };
-    let report = match servebench::run_servebench(&exe, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[repro] servebench FAIL: {e}");
-            return 1;
-        }
-    };
-    servebench::print_table(&report);
-    if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
-        }
-        match report.write_json(path) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!(
-                    "[repro] servebench FAIL: no committed artifact at {path}: {e} — \
-                     generate one with `repro servebench --out {path}`"
-                );
-                return 1;
-            }
-        };
-        let violations = servebench::check_against(&report, &committed);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] servebench VIOLATION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] servebench: structure and invariants consistent with {path}");
-    }
-    0
-}
-
-/// `repro outofcorebench [--out PATH] [--check PATH] [--transport sim,tcp]
-/// [--nodes N] [--train-budget BYTES] [--seed N] [--quick]`: run the
-/// out-of-core memory-flatness sweep and the --mem-budget training
-/// parity grid, write the schema-versioned report, and/or gate against
-/// the committed `BENCH_outofcore.json`.
-fn outofcorebench_cmd(args: &[String]) -> i32 {
-    let mut cfg = outofcorebench::OocBenchConfig::default();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        if key == "--quick" {
-            cfg.quick = true;
-            i += 1;
-            continue;
-        }
-        i += 1;
-        let Some(v) = args.get(i).cloned() else {
-            eprintln!("missing value for {key}");
-            return 2;
-        };
-        let r = (|| -> Result<(), i32> {
-            let parse_u64 = |v: &str, key: &str| -> Result<u64, i32> {
-                v.parse::<u64>().map_err(|_| {
-                    eprintln!("{key} takes a non-negative integer, not {v}");
-                    2
-                })
-            };
-            match key.as_str() {
-                "--out" => out = Some(v.clone()),
-                "--check" => check = Some(v.clone()),
-                "--nodes" => cfg.nodes = parse_u64(&v, &key)? as usize,
-                "--train-budget" => cfg.train_budget = parse_u64(&v, &key)?,
-                "--seed" => cfg.seed = parse_u64(&v, &key)?,
-                "--transport" => {
-                    let ts: Vec<String> = v.split(',').map(str::to_string).collect();
-                    if ts.iter().any(|t| t != "sim" && t != "tcp") {
-                        eprintln!("--transport takes a comma list from: sim, tcp");
-                        return Err(2);
-                    }
-                    cfg.transports = ts;
-                }
-                other => {
-                    eprintln!("unknown outofcorebench flag: {other}");
-                    return Err(2);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(code) = r {
-            return code;
-        }
-        i += 1;
-    }
-    let report = match outofcorebench::run_oocbench(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[repro] outofcorebench FAIL: {e}");
-            return 1;
-        }
-    };
-    outofcorebench::print_table(&report);
-    if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
-        }
-        match report.write_json(path) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!(
-                    "[repro] outofcorebench FAIL: no committed artifact at {path}: {e} — \
-                     generate one with `repro outofcorebench --out {path}`"
-                );
-                return 1;
-            }
-        };
-        let violations = outofcorebench::check_against(&report, &committed);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] outofcorebench VIOLATION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] outofcorebench: structure and invariants consistent with {path}");
-    }
-    0
-}
-
-/// `repro compressbench [--out PATH] [--check PATH] [--transport sim,tcp]
-/// [--world N] [--nodes N] [--epochs N] [--seed N] [--quick]`: run the
-/// codec/protocol grid, write the schema-versioned report, and/or gate
-/// against the committed `BENCH_compress.json`.
-fn compressbench_cmd(args: &[String]) -> i32 {
-    let mut cfg = compressbench::CompressBenchConfig::default();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        if key == "--quick" {
-            cfg.quick = true;
-            i += 1;
-            continue;
-        }
-        i += 1;
-        let Some(v) = args.get(i).cloned() else {
-            eprintln!("missing value for {key}");
-            return 2;
-        };
-        let parse_usize = |v: &str, key: &str| -> Result<usize, i32> {
-            v.parse::<usize>().map_err(|_| {
-                eprintln!("{key} takes a non-negative integer, not {v}");
-                2
-            })
-        };
-        let r = (|| -> Result<(), i32> {
-            match key.as_str() {
-                "--out" => out = Some(v.clone()),
-                "--check" => check = Some(v.clone()),
-                "--world" => cfg.world = parse_usize(&v, &key)?.max(1),
-                "--nodes" => cfg.nodes = parse_usize(&v, &key)?,
-                "--epochs" => cfg.epochs = parse_usize(&v, &key)?.max(1),
-                "--seed" => cfg.seed = parse_usize(&v, &key)? as u64,
-                "--transport" => {
-                    let ts: Vec<String> = v.split(',').map(str::to_string).collect();
-                    if ts.iter().any(|t| t != "sim" && t != "tcp") {
-                        eprintln!("--transport takes a comma list from: sim, tcp");
-                        return Err(2);
-                    }
-                    cfg.transports = ts;
-                }
-                other => {
-                    eprintln!("unknown compressbench flag: {other}");
-                    return Err(2);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(code) = r {
-            return code;
-        }
-        i += 1;
-    }
-    let report = match compressbench::run_compressbench(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[repro] compressbench FAIL: {e}");
-            return 1;
-        }
-    };
-    compressbench::print_table(&report);
-    if let Some(path) = &out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("[repro] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-            }
-        }
-        match report.write_json(path) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => {
-                eprintln!("[repro] {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(path) = &check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!(
-                    "[repro] compressbench FAIL: no committed artifact at {path}: {e} — \
-                     generate one with `repro compressbench --out {path}`"
-                );
-                return 1;
-            }
-        };
-        let violations = compressbench::check_against(&report, &committed);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("[repro] compressbench VIOLATION: {v}");
-            }
-            return 1;
-        }
-        eprintln!("[repro] compressbench: structure and invariants consistent with {path}");
-    }
-    0
-}
-
 /// `repro overlap-check --current PATH --committed PATH`: diff a fresh
 /// `BENCH_overlap.json` against the committed copy (run-set identity and
 /// ledger invariants; timings are not compared).
@@ -1080,7 +456,7 @@ fn overlap_check_cmd(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let violations = kernelbench::overlap_check(&cur, &base);
+    let violations = smoke::overlap_check(&cur, &base);
     if !violations.is_empty() {
         for v in &violations {
             eprintln!("[repro] overlap-check VIOLATION: {v}");
@@ -1097,20 +473,14 @@ fn main() {
         eprintln!("usage: repro <experiment|all> [flags] — see crate docs");
         std::process::exit(2);
     }
-    if args[0] == "kernelbench" {
-        std::process::exit(kernelbench_cmd(&args[1..]));
-    }
-    if args[0] == "overlap-check" {
-        std::process::exit(overlap_check_cmd(&args[1..]));
-    }
-    if args[0] == "servebench" {
-        std::process::exit(servebench_cmd(&args[1..]));
-    }
-    if args[0] == "compressbench" {
-        std::process::exit(compressbench_cmd(&args[1..]));
-    }
-    if args[0] == "outofcorebench" {
-        std::process::exit(outofcorebench_cmd(&args[1..]));
+    let rest = &args[1..];
+    match args[0].as_str() {
+        "kernelbench" => std::process::exit(cli::<KernelBench>(rest)),
+        "servebench" => std::process::exit(cli::<ServeBench>(rest)),
+        "compressbench" => std::process::exit(cli::<CompressBench>(rest)),
+        "outofcorebench" => std::process::exit(cli::<OutOfCoreBench>(rest)),
+        "overlap-check" => std::process::exit(overlap_check_cmd(rest)),
+        _ => {}
     }
     let flags = parse_flags(&args[1..]);
     let (cfg, worlds, transport) = (&flags.cfg, &flags.worlds, &flags.transport);

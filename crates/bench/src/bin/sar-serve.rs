@@ -6,8 +6,9 @@
 //!
 //! workload flags (identical on every rank — each process rebuilds the
 //! dataset, partitioning and model deterministically from them; the
-//! vocabulary is shared with sar-worker, and training-only flags are
-//! accepted and ignored so one flag list can drive both binaries):
+//! vocabulary and its parser are shared with sar-worker, and
+//! training-only flags are accepted and ignored so one flag list can
+//! drive both binaries):
 //!   --dataset products|papers    synthetic stand-in        (products)
 //!   --nodes N                    stand-in size             (1500)
 //!   --arch sage|gcn|gat          model architecture        (sage)
@@ -45,184 +46,74 @@
 
 use std::time::Duration;
 
-use sar_bench::distrun::Workload;
-use sar_bench::launcher;
+use sar_bench::launcher::RankCli;
 use sar_bench::serverun::{run_serve_rank, ServeRankOpts};
 use sar_serve::ServerConfig;
-
-struct Cli {
-    spawn_local: Option<usize>,
-    rank: Option<usize>,
-    world: Option<usize>,
-    rendezvous_file: Option<std::path::PathBuf>,
-    rendezvous_timeout: Duration,
-    checkpoint: Option<std::path::PathBuf>,
-    client_addr_file: Option<std::path::PathBuf>,
-    server: ServerConfig,
-    cache_rows: usize,
-    workload: Workload,
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("sar-serve: {msg}");
     std::process::exit(2);
 }
 
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        spawn_local: None,
-        rank: None,
-        world: None,
-        rendezvous_file: None,
-        rendezvous_timeout: Duration::from_secs(60),
-        checkpoint: None,
-        client_addr_file: None,
-        server: ServerConfig::default(),
-        cache_rows: 4096,
-        workload: Workload::default(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let mut value = || -> String {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
-        };
-        let w = &mut cli.workload;
-        match flag {
-            "--spawn-local" => {
-                cli.spawn_local = Some(value().parse().unwrap_or_else(|_| fail("--spawn-local")))
-            }
-            "--rank" => cli.rank = Some(value().parse().unwrap_or_else(|_| fail("--rank"))),
-            "--world" => cli.world = Some(value().parse().unwrap_or_else(|_| fail("--world"))),
-            "--rendezvous-file" => cli.rendezvous_file = Some(value().into()),
-            "--rendezvous-timeout-secs" => {
-                cli.rendezvous_timeout = Duration::from_secs(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| fail("--rendezvous-timeout-secs")),
-                )
-            }
-            "--checkpoint" => cli.checkpoint = Some(value().into()),
-            "--client-addr-file" => cli.client_addr_file = Some(value().into()),
-            "--max-batch" => {
-                cli.server.max_batch = value().parse().unwrap_or_else(|_| fail("--max-batch"))
-            }
-            "--max-delay-us" => {
-                cli.server.max_delay = Duration::from_micros(
-                    value().parse().unwrap_or_else(|_| fail("--max-delay-us")),
-                )
-            }
-            "--queue-cap" => {
-                cli.server.queue_cap = value().parse().unwrap_or_else(|_| fail("--queue-cap"))
-            }
-            "--cache-rows" => {
-                cli.cache_rows = value().parse().unwrap_or_else(|_| fail("--cache-rows"))
-            }
-            "--dataset" => w.dataset = value(),
-            "--nodes" => w.nodes = value().parse().unwrap_or_else(|_| fail("--nodes")),
-            "--arch" => w.arch = value(),
-            "--hidden" => w.hidden = value().parse().unwrap_or_else(|_| fail("--hidden")),
-            "--heads" => w.heads = value().parse().unwrap_or_else(|_| fail("--heads")),
-            "--mode" => w.mode = value(),
-            "--layers" => w.layers = value().parse().unwrap_or_else(|_| fail("--layers")),
-            "--jk" => w.jk = true,
-            "--no-label-aug" => w.label_aug = false,
-            "--partitioner" => w.partitioner = value(),
-            "--seed" => w.seed = value().parse().unwrap_or_else(|_| fail("--seed")),
-            "--threads" => w.threads = value().parse().unwrap_or_else(|_| fail("--threads")),
-            "--simd" => w.simd = value(),
-            // Training-only workload flags, accepted for vocabulary
-            // parity with sar-worker and ignored by serving.
-            "--epochs" | "--lr" | "--dropout" | "--aug-frac" | "--schedule"
-            | "--prefetch-depth" | "--codec" | "--protocol" | "--mem-budget" => {
-                let _ = value();
-            }
-            "--cs" => {}
-            "--help" | "-h" => {
-                eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-serve.rs");
-                std::process::exit(0);
-            }
-            other => fail(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    cli
-}
-
-/// `--spawn-local N`: re-exec this binary once per rank and wait. The
-/// cluster then serves until a client requests shutdown, so this mode is
-/// only useful together with `--client-addr-file` and an external client.
-fn spawn_local(n: usize, cli: &Cli) -> ! {
-    if n == 0 {
-        fail("--spawn-local needs at least one rank");
-    }
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(&format!("cannot locate own executable: {e}")));
-    let mut args = cli.workload.to_args();
-    args.extend([
-        "--rendezvous-timeout-secs".to_string(),
-        cli.rendezvous_timeout.as_secs().to_string(),
-        "--max-batch".to_string(),
-        cli.server.max_batch.to_string(),
-        "--max-delay-us".to_string(),
-        cli.server.max_delay.as_micros().to_string(),
-        "--queue-cap".to_string(),
-        cli.server.queue_cap.to_string(),
-        "--cache-rows".to_string(),
-        cli.cache_rows.to_string(),
-    ]);
-    if let Some(path) = &cli.checkpoint {
-        args.extend(["--checkpoint".to_string(), path.display().to_string()]);
-    }
-    if let Some(path) = &cli.client_addr_file {
-        args.extend(["--client-addr-file".to_string(), path.display().to_string()]);
-    }
-    eprintln!(
-        "[sar-serve] spawning {n} local rank processes ({} / {} on {} nodes) ...",
-        cli.workload.arch, cli.workload.mode, cli.workload.nodes
-    );
-    match launcher::spawn_ranks(&exe, n, &args) {
-        Ok(()) => {
-            eprintln!("[sar-serve] all {n} ranks completed");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("[sar-serve] launch failed: {e}");
-            std::process::exit(1);
-        }
-    }
+/// The value of the numeric flag `name`, if given.
+fn num<T: std::str::FromStr>(cli: &RankCli, name: &str) -> Option<T> {
+    cli.get(name).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| fail(&format!("{name} takes a number, not {v}")))
+    })
 }
 
 fn main() {
-    let cli = parse_cli();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-serve.rs");
+        std::process::exit(0);
+    }
+    let own = [
+        "--checkpoint",
+        "--client-addr-file",
+        "--max-batch",
+        "--max-delay-us",
+        "--queue-cap",
+        "--cache-rows",
+    ];
+    let cli = RankCli::parse(&argv, &own).unwrap_or_else(|e| fail(&e));
     if let Some(n) = cli.spawn_local {
-        if cli.rank.is_some() || cli.rendezvous_file.is_some() {
-            fail("--spawn-local is exclusive with --rank/--rendezvous-file");
+        // The cluster serves until a client requests shutdown, so this
+        // mode is only useful with --client-addr-file and an external
+        // client.
+        eprintln!(
+            "[sar-serve] spawning {n} local rank processes ({} / {} on {} nodes) ...",
+            cli.workload.arch, cli.workload.mode, cli.workload.nodes
+        );
+        match cli.spawn_local(n) {
+            Ok(()) => {
+                eprintln!("[sar-serve] all {n} ranks completed");
+                std::process::exit(0);
+            }
+            Err(e) => {
+                eprintln!("[sar-serve] launch failed: {e}");
+                std::process::exit(1);
+            }
         }
-        spawn_local(n, &cli);
     }
 
-    let rank = cli
-        .rank
-        .unwrap_or_else(|| fail("--rank is required (or use --spawn-local N)"));
-    let world = cli.world.unwrap_or_else(|| fail("--world is required"));
-    let rendezvous_file = cli
-        .rendezvous_file
-        .clone()
-        .unwrap_or_else(|| fail("--rendezvous-file is required"));
+    let (rank, world, rendezvous_file) = cli.rank_flags().unwrap_or_else(|e| fail(&e));
+    let defaults = ServerConfig::default();
     let opts = ServeRankOpts {
         rank,
         world,
         rendezvous_file,
         rendezvous_timeout: cli.rendezvous_timeout,
-        checkpoint: cli.checkpoint.clone(),
-        client_addr_file: cli.client_addr_file.clone(),
-        server: cli.server.clone(),
-        cache_rows: cli.cache_rows,
+        checkpoint: cli.get("--checkpoint").map(Into::into),
+        client_addr_file: cli.get("--client-addr-file").map(Into::into),
+        server: ServerConfig {
+            max_batch: num(&cli, "--max-batch").unwrap_or(defaults.max_batch),
+            max_delay: num(&cli, "--max-delay-us")
+                .map_or(defaults.max_delay, Duration::from_micros),
+            queue_cap: num(&cli, "--queue-cap").unwrap_or(defaults.queue_cap),
+        },
+        cache_rows: num(&cli, "--cache-rows").unwrap_or(4096),
     };
 
     match run_serve_rank(&opts, &cli.workload) {

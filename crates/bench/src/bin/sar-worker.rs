@@ -48,9 +48,6 @@
 //!   --digest-out PATH            write the run's determinism digest
 //!                                (losses + per-worker byte ledgers) for
 //!                                cross-thread-count parity checks
-//!   --overlap-out PATH           write the per-phase blocked-vs-wall
-//!                                overlap summary JSON (the fragment
-//!                                repro embeds into BENCH_overlap.json)
 //!
 //! other:
 //!   --rendezvous-timeout-secs N  poll budget for the rendezvous file (60)
@@ -63,181 +60,51 @@
 //! per-phase communication ledger over the data plane after training and
 //! assembles the same `RunReport` JSON the simulated backend writes.
 
-use std::time::Duration;
-
-use sar_bench::distrun::{run_rank, RankOpts, Workload};
-use sar_bench::{launcher, smoke};
-
-struct Cli {
-    spawn_local: Option<usize>,
-    rank: Option<usize>,
-    world: Option<usize>,
-    rendezvous_file: Option<std::path::PathBuf>,
-    rendezvous_timeout: Duration,
-    experiment: Option<String>,
-    out: Option<String>,
-    check: Option<String>,
-    digest_out: Option<String>,
-    overlap_out: Option<String>,
-    workload: Workload,
-}
+use sar_bench::distrun::{run_rank, RankOpts};
+use sar_bench::harness::write_file;
+use sar_bench::launcher::RankCli;
+use sar_bench::smoke;
 
 fn fail(msg: &str) -> ! {
     eprintln!("sar-worker: {msg}");
     std::process::exit(2);
 }
 
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        spawn_local: None,
-        rank: None,
-        world: None,
-        rendezvous_file: None,
-        rendezvous_timeout: Duration::from_secs(60),
-        experiment: None,
-        out: None,
-        check: None,
-        digest_out: None,
-        overlap_out: None,
-        workload: Workload::default(),
-    };
+fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let mut value = || -> String {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
-        };
-        let w = &mut cli.workload;
-        match flag {
-            "--spawn-local" => {
-                cli.spawn_local = Some(value().parse().unwrap_or_else(|_| fail("--spawn-local")))
-            }
-            "--rank" => cli.rank = Some(value().parse().unwrap_or_else(|_| fail("--rank"))),
-            "--world" => cli.world = Some(value().parse().unwrap_or_else(|_| fail("--world"))),
-            "--rendezvous-file" => cli.rendezvous_file = Some(value().into()),
-            "--rendezvous-timeout-secs" => {
-                cli.rendezvous_timeout = Duration::from_secs(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| fail("--rendezvous-timeout-secs")),
-                )
-            }
-            "--experiment" => cli.experiment = Some(value()),
-            "--out" => cli.out = Some(value()),
-            "--check" => cli.check = Some(value()),
-            "--digest-out" => cli.digest_out = Some(value()),
-            "--overlap-out" => cli.overlap_out = Some(value()),
-            "--dataset" => w.dataset = value(),
-            "--nodes" => w.nodes = value().parse().unwrap_or_else(|_| fail("--nodes")),
-            "--arch" => w.arch = value(),
-            "--hidden" => w.hidden = value().parse().unwrap_or_else(|_| fail("--hidden")),
-            "--heads" => w.heads = value().parse().unwrap_or_else(|_| fail("--heads")),
-            "--mode" => w.mode = value(),
-            "--layers" => w.layers = value().parse().unwrap_or_else(|_| fail("--layers")),
-            "--jk" => w.jk = true,
-            "--epochs" => w.epochs = value().parse().unwrap_or_else(|_| fail("--epochs")),
-            "--lr" => w.lr = value().parse().unwrap_or_else(|_| fail("--lr")),
-            "--dropout" => w.dropout = value().parse().unwrap_or_else(|_| fail("--dropout")),
-            "--no-label-aug" => w.label_aug = false,
-            "--aug-frac" => w.aug_frac = value().parse().unwrap_or_else(|_| fail("--aug-frac")),
-            "--cs" => w.cs = true,
-            "--prefetch-depth" => {
-                w.prefetch_depth = value().parse().unwrap_or_else(|_| fail("--prefetch-depth"))
-            }
-            "--partitioner" => w.partitioner = value(),
-            "--schedule" => w.schedule = value(),
-            "--seed" => w.seed = value().parse().unwrap_or_else(|_| fail("--seed")),
-            "--threads" => w.threads = value().parse().unwrap_or_else(|_| fail("--threads")),
-            "--simd" => w.simd = value(),
-            "--codec" => w.codec = value(),
-            "--protocol" => w.protocol = value(),
-            "--mem-budget" => {
-                w.mem_budget = value().parse().unwrap_or_else(|_| fail("--mem-budget"))
-            }
-            "--help" | "-h" => {
-                eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-worker.rs");
-                std::process::exit(0);
-            }
-            other => fail(&format!("unknown flag {other}")),
-        }
-        i += 1;
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("see the doc comment at the top of crates/bench/src/bin/sar-worker.rs");
+        std::process::exit(0);
     }
-    if let Some(check) = &cli.check {
+    let cli = RankCli::parse(&argv, &["--experiment", "--out", "--check", "--digest-out"])
+        .unwrap_or_else(|e| fail(&e));
+    if let Some(check) = cli.get("--check") {
         if check != "smoke" {
             fail(&format!("unknown --check {check} (only: smoke)"));
         }
     }
-    cli
-}
-
-/// `--spawn-local N`: re-exec this binary once per rank and wait.
-fn spawn_local(n: usize, cli: &Cli) -> ! {
-    if n == 0 {
-        fail("--spawn-local needs at least one rank");
-    }
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(&format!("cannot locate own executable: {e}")));
-    let mut args = cli.workload.to_args();
-    args.extend([
-        "--rendezvous-timeout-secs".to_string(),
-        cli.rendezvous_timeout.as_secs().to_string(),
-    ]);
-    if let Some(exp) = &cli.experiment {
-        args.extend(["--experiment".to_string(), exp.clone()]);
-    }
-    if let Some(out) = &cli.out {
-        args.extend(["--out".to_string(), out.clone()]);
-    }
-    if let Some(check) = &cli.check {
-        args.extend(["--check".to_string(), check.clone()]);
-    }
-    if let Some(digest) = &cli.digest_out {
-        args.extend(["--digest-out".to_string(), digest.clone()]);
-    }
-    if let Some(overlap) = &cli.overlap_out {
-        args.extend(["--overlap-out".to_string(), overlap.clone()]);
-    }
-    eprintln!(
-        "[sar-worker] spawning {n} local rank processes ({} / {} on {} nodes) ...",
-        cli.workload.arch, cli.workload.mode, cli.workload.nodes
-    );
-    match launcher::spawn_ranks(&exe, n, &args) {
-        Ok(()) => {
-            eprintln!("[sar-worker] all {n} ranks completed");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("[sar-worker] launch failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn main() {
-    let cli = parse_cli();
     if let Some(n) = cli.spawn_local {
-        if cli.rank.is_some() || cli.rendezvous_file.is_some() {
-            fail("--spawn-local is exclusive with --rank/--rendezvous-file");
+        eprintln!(
+            "[sar-worker] spawning {n} local rank processes ({} / {} on {} nodes) ...",
+            cli.workload.arch, cli.workload.mode, cli.workload.nodes
+        );
+        match cli.spawn_local(n) {
+            Ok(()) => {
+                eprintln!("[sar-worker] all {n} ranks completed");
+                std::process::exit(0);
+            }
+            Err(e) => {
+                eprintln!("[sar-worker] launch failed: {e}");
+                std::process::exit(1);
+            }
         }
-        spawn_local(n, &cli);
     }
 
-    let rank = cli
-        .rank
-        .unwrap_or_else(|| fail("--rank is required (or use --spawn-local N)"));
-    let world = cli.world.unwrap_or_else(|| fail("--world is required"));
-    let rendezvous_file = cli
-        .rendezvous_file
-        .clone()
-        .unwrap_or_else(|| fail("--rendezvous-file is required"));
-    let experiment = cli
-        .experiment
-        .clone()
-        .unwrap_or_else(|| format!("{}-{}", cli.workload.arch, cli.workload.mode));
+    let (rank, world, rendezvous_file) = cli.rank_flags().unwrap_or_else(|e| fail(&e));
+    let experiment = cli.get("--experiment").map_or_else(
+        || format!("{}-{}", cli.workload.arch, cli.workload.mode),
+        str::to_string,
+    );
     let opts = RankOpts {
         rank,
         world,
@@ -256,30 +123,16 @@ fn main() {
                 100.0 * report.val_acc,
                 100.0 * report.test_acc
             );
-            if let Some(path) = &cli.out {
-                if let Some(dir) = std::path::Path::new(path).parent() {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                            fail(&format!("cannot create {}: {e}", dir.display()))
-                        });
-                    }
-                }
-                report
-                    .write_json(path)
-                    .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+            if let Some(path) = cli.get("--out") {
+                write_file(path, &report.to_json()).unwrap_or_else(|e| fail(&e));
                 eprintln!("[sar-worker] wrote {path}");
             }
-            if let Some(path) = &cli.digest_out {
+            if let Some(path) = cli.get("--digest-out") {
                 std::fs::write(path, report.parity_digest())
                     .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
                 eprintln!("[sar-worker] wrote digest {path}");
             }
-            if let Some(path) = &cli.overlap_out {
-                std::fs::write(path, report.overlap_json())
-                    .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-                eprintln!("[sar-worker] wrote overlap summary {path}");
-            }
-            if cli.check.as_deref() == Some("smoke") {
+            if cli.get("--check") == Some("smoke") {
                 let violations = smoke::violations(&report, cli.workload.epochs);
                 if !violations.is_empty() {
                     for v in &violations {

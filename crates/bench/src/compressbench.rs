@@ -28,16 +28,12 @@
 //! * every run's final loss is finite and its validation accuracy stays
 //!   within [`ACC_FLOOR`] of the same transport's `raw`/`exact` run.
 
-use std::path::Path;
+use sar_comm::{CostModel, Phase};
 
-use crate::kernelbench::{parse_json, JsonValue};
-use crate::report::RunReport;
-use crate::{launcher, smoke};
-
-/// Schema tag written into (and required from) `BENCH_compress.json`.
-/// Bump whenever the grid, the counters or the field layout change; the
-/// gate refuses to compare across schema versions.
-pub const SCHEMA: &str = "sar-compressbench/v1";
+use crate::harness::Bench;
+use crate::json::{Obj, Value};
+use crate::report::{PhaseRow, Table};
+use crate::smoke;
 
 /// How far a lossy/approximate run's validation accuracy may fall below
 /// the same transport's `raw`/`exact` baseline before the gate fails.
@@ -49,75 +45,39 @@ pub const ACC_FLOOR: f64 = 0.20;
 /// the bar sits just under 2×; int8 clears it with ≈3.8×.
 pub const LOSSY_REDUCTION_BAR: f64 = 1.9;
 
-/// The benchmark workload: everything needed to rebuild every run
-/// deterministically.
-#[derive(Debug, Clone)]
-pub struct CompressBenchConfig {
-    /// Cluster size (simulated workers / OS processes).
-    pub world: usize,
-    /// Synthetic products-like node count.
-    pub nodes: usize,
-    /// Training epochs per run.
-    pub epochs: usize,
-    /// Seed for the dataset, the partitioning and the model.
-    pub seed: u64,
-    /// Transports to run (`"sim"`, `"tcp"`); the TCP grid is a subset.
-    pub transports: Vec<String>,
-    /// Trim the grid for local iteration (the committed artifact is
-    /// always generated at full scale).
-    pub quick: bool,
-}
-
-impl Default for CompressBenchConfig {
-    fn default() -> Self {
-        CompressBenchConfig {
-            world: 4,
-            nodes: 1200,
-            epochs: 8,
-            seed: 0,
-            transports: vec!["sim".into(), "tcp".into()],
-            quick: false,
-        }
-    }
-}
+/// Cluster size (simulated workers / OS processes).
+const WORLD: usize = 4;
+/// Synthetic products-like node count.
+const NODES: usize = 1200;
+/// Training epochs per run.
+const EPOCHS: usize = 8;
 
 /// One `(arch, codec, protocol)` grid cell.
 type Cell = (&'static str, &'static str, &'static str);
 
 /// The simulated-transport grid: the full codec sweep plus the
 /// approximate protocols on GraphSage, and a GAT spot-check.
-#[must_use]
-pub fn sim_grid(quick: bool) -> Vec<Cell> {
-    let mut g = vec![
-        ("sage", "raw", "exact"),
-        ("sage", "f16", "exact"),
-        ("sage", "int8", "exact"),
-        ("sage", "raw", "gradonly"),
-        ("sage", "raw", "stale:4"),
-    ];
-    if !quick {
-        g.extend([
-            ("sage", "bf16", "exact"),
-            ("sage", "delta", "exact"),
-            ("sage", "int8", "stale:4"),
-            ("gat", "raw", "exact"),
-            ("gat", "int8", "exact"),
-        ]);
-    }
-    g
-}
+const SIM_GRID: [Cell; 10] = [
+    ("sage", "raw", "exact"),
+    ("sage", "f16", "exact"),
+    ("sage", "int8", "exact"),
+    ("sage", "raw", "gradonly"),
+    ("sage", "raw", "stale:4"),
+    ("sage", "bf16", "exact"),
+    ("sage", "delta", "exact"),
+    ("sage", "int8", "stale:4"),
+    ("gat", "raw", "exact"),
+    ("gat", "int8", "exact"),
+];
 
 /// The TCP subset: enough to pin the negotiated wire path (exact parity,
 /// a lossy codec, an approximate protocol) without a full OS-process
 /// sweep per cell.
-#[must_use]
-pub fn tcp_grid(quick: bool) -> Vec<Cell> {
-    let mut g = vec![("sage", "raw", "exact"), ("sage", "int8", "exact")];
-    if !quick {
-        g.push(("sage", "raw", "stale:4"));
-    }
-    g
-}
+const TCP_GRID: [Cell; 3] = [
+    ("sage", "raw", "exact"),
+    ("sage", "int8", "exact"),
+    ("sage", "raw", "stale:4"),
+];
 
 /// One grid cell's measured run.
 #[derive(Debug, Clone)]
@@ -157,19 +117,6 @@ pub struct CompressRun {
     pub digest: Option<String>,
 }
 
-/// A full compressbench run: the workload identity plus per-cell results.
-#[derive(Debug, Clone)]
-pub struct CompressBenchReport {
-    /// Cluster size.
-    pub world: usize,
-    /// Dataset node count.
-    pub nodes: usize,
-    /// Training epochs per run.
-    pub epochs: usize,
-    /// Per-cell runs, sim grid first, then tcp.
-    pub runs: Vec<CompressRun>,
-}
-
 /// FNV-1a 64 over a string — the stable fingerprint committed in place
 /// of the multi-line parity digest.
 #[must_use]
@@ -184,12 +131,9 @@ pub fn fingerprint(text: &str) -> String {
 
 /// The workload for one grid cell (the smoke workload with the cell's
 /// codec/protocol and this benchmark's epoch count).
-fn cell_workload(
-    cfg: &CompressBenchConfig,
-    (arch, codec, protocol): Cell,
-) -> Result<crate::distrun::Workload, String> {
-    let mut wl = smoke::workload(arch, cfg.nodes, cfg.seed)?;
-    wl.epochs = cfg.epochs;
+fn cell_workload((arch, codec, protocol): Cell) -> Result<crate::distrun::Workload, String> {
+    let mut wl = smoke::workload(arch, NODES, 0)?;
+    wl.epochs = EPOCHS;
     wl.codec = codec.to_string();
     wl.protocol = protocol.to_string();
     Ok(wl)
@@ -203,263 +147,59 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-// ----------------------------------------------------------------------
-// Simulated runs (in-process)
-// ----------------------------------------------------------------------
-
-fn run_sim(cfg: &CompressBenchConfig, cell: Cell) -> Result<CompressRun, String> {
+/// Trains one grid cell on `transport` (in-process, or one `sar-worker`
+/// OS process per rank) and distills its run record.
+fn run_cell(transport: &str, cell: Cell) -> Result<CompressRun, String> {
     let (arch, codec, protocol) = cell;
-    let wl = cell_workload(cfg, cell)?;
-    let (dataset, part) = wl.build_data(cfg.world)?;
-    let tcfg = wl.train_config(&dataset)?;
-    eprintln!("[compressbench] sim: {arch} codec={codec} protocol={protocol} ...");
-    let run = sar_core::train(&dataset, &part, sar_comm::CostModel::default(), &tcfg);
-
-    let total = |phase: sar_comm::Phase| {
-        run.worker_comm.iter().fold((0u64, 0u64, 0u64), |acc, c| {
-            let e = c.ledger.phase_total(phase);
-            (
-                acc.0 + e.sent_bytes,
-                acc.1 + e.wire_sent_bytes,
-                acc.2 + e.sent_messages,
-            )
-        })
+    let wl = cell_workload(cell)?;
+    eprintln!("[compressbench] {transport}: {arch} codec={codec} protocol={protocol} ...");
+    let experiment = format!("compressbench-{arch}-{codec}-{protocol}");
+    let (report, digest) = smoke::train(transport, &wl, WORLD, &experiment, CostModel::default())
+        .map_err(|e| format!("{transport} {arch}/{codec}/{protocol}: {e}"))?;
+    let sum = |phases: &[Phase], f: fn(&PhaseRow) -> u64| -> u64 {
+        let phases: Vec<&str> = phases.iter().map(|p| p.name()).collect();
+        report
+            .workers
+            .iter()
+            .flat_map(|w| &w.phases)
+            .filter(|r| phases.contains(&r.phase))
+            .map(f)
+            .sum()
     };
-    let fwd = total(sar_comm::Phase::ForwardFetch);
-    let refetch = total(sar_comm::Phase::BackwardRefetch);
-    let grad = total(sar_comm::Phase::GradRouting);
-
-    let digest = (codec == "raw" && protocol == "exact").then(|| {
-        let report = RunReport::from_train("compressbench", arch, &wl.mode, &run);
-        fingerprint(&report.parity_digest())
-    });
+    let fetch = [Phase::ForwardFetch, Phase::BackwardRefetch];
+    let grad = [Phase::GradRouting];
     Ok(CompressRun {
-        transport: "sim".into(),
+        transport: transport.into(),
         arch: arch.into(),
         codec: codec.into(),
         protocol: protocol.into(),
-        final_loss: f64::from(run.losses.last().copied().unwrap_or(f32::NAN)),
-        val_acc: run.val_acc,
-        test_acc: run.test_acc,
-        fetch_logical_bytes: fwd.0 + refetch.0,
-        fetch_wire_bytes: fwd.1 + refetch.1,
-        fetch_messages: fwd.2 + refetch.2,
-        grad_logical_bytes: grad.0,
-        grad_wire_bytes: grad.1,
-        grad_messages: grad.2,
-        epoch_time_s: mean(&run.epoch_times),
-        digest,
+        final_loss: f64::from(report.losses.last().copied().unwrap_or(f32::NAN)),
+        val_acc: report.val_acc,
+        test_acc: report.test_acc,
+        fetch_logical_bytes: sum(&fetch, |r| r.sent_bytes),
+        fetch_wire_bytes: sum(&fetch, |r| r.wire_sent_bytes),
+        fetch_messages: sum(&fetch, |r| r.sent_messages),
+        grad_logical_bytes: sum(&grad, |r| r.sent_bytes),
+        grad_wire_bytes: sum(&grad, |r| r.wire_sent_bytes),
+        grad_messages: sum(&grad, |r| r.sent_messages),
+        epoch_time_s: mean(&report.epoch_times),
+        digest: (codec == "raw" && protocol == "exact").then(|| fingerprint(&digest)),
     })
-}
-
-// ----------------------------------------------------------------------
-// TCP runs (one sar-worker process per rank)
-// ----------------------------------------------------------------------
-
-/// Sums `(sent_bytes, wire_sent_bytes, sent_messages)` over every
-/// worker's ledger rows whose phase is in `phases`, from a gathered
-/// `RunReport` JSON document.
-fn sum_phases(doc: &JsonValue, phases: &[&str]) -> Result<(u64, u64, u64), String> {
-    let workers = doc
-        .get("workers")
-        .and_then(JsonValue::arr)
-        .ok_or("report has no workers array")?;
-    let mut acc = (0u64, 0u64, 0u64);
-    for w in workers {
-        for row in w.get("phases").and_then(JsonValue::arr).unwrap_or_default() {
-            let phase = row.get("phase").and_then(JsonValue::str).unwrap_or("");
-            if !phases.contains(&phase) {
-                continue;
-            }
-            let num = |k: &str| -> Result<u64, String> {
-                row.get(k)
-                    .and_then(JsonValue::num)
-                    .map(|v| v as u64)
-                    .ok_or_else(|| format!("ledger row is missing {k}"))
-            };
-            acc.0 += num("sent_bytes")?;
-            acc.1 += num("wire_sent_bytes")?;
-            acc.2 += num("sent_messages")?;
-        }
-    }
-    Ok(acc)
-}
-
-fn run_tcp(exe: &Path, cfg: &CompressBenchConfig, cell: Cell) -> Result<CompressRun, String> {
-    let (arch, codec, protocol) = cell;
-    let wl = cell_workload(cfg, cell)?;
-    let uniq = format!(
-        "{}-{arch}-{codec}-{}",
-        std::process::id(),
-        protocol.replace(':', "-")
-    );
-    let out = std::env::temp_dir().join(format!("sar-compressbench-{uniq}.json"));
-    let digest_path = std::env::temp_dir().join(format!("sar-compressbench-{uniq}.digest"));
-    let mut args = wl.to_args();
-    args.extend([
-        "--experiment".to_string(),
-        format!("compressbench-{arch}-{codec}-{protocol}"),
-        "--out".to_string(),
-        out.display().to_string(),
-        "--digest-out".to_string(),
-        digest_path.display().to_string(),
-    ]);
-    eprintln!("[compressbench] tcp: {arch} codec={codec} protocol={protocol} ...");
-    let result = (|| -> Result<CompressRun, String> {
-        launcher::spawn_ranks(exe, cfg.world, &args)?;
-        let text = std::fs::read_to_string(&out)
-            .map_err(|e| format!("rank 0 wrote no report at {}: {e}", out.display()))?;
-        let doc = parse_json(&text).map_err(|e| format!("gathered report: {e}"))?;
-        let losses = doc
-            .get("losses")
-            .and_then(JsonValue::arr)
-            .unwrap_or_default();
-        let final_loss = losses
-            .last()
-            .and_then(JsonValue::num)
-            .ok_or("gathered report has no losses")?;
-        let acc = |k: &str| doc.get(k).and_then(JsonValue::num).unwrap_or(f64::NAN);
-        let epoch_times: Vec<f64> = doc
-            .get("epoch_times")
-            .and_then(JsonValue::arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(JsonValue::num)
-            .collect();
-        let fetch = sum_phases(&doc, &["forward_fetch", "backward_refetch"])?;
-        let grad = sum_phases(&doc, &["grad_routing"])?;
-        let digest = if codec == "raw" && protocol == "exact" {
-            let d = std::fs::read_to_string(&digest_path)
-                .map_err(|e| format!("rank 0 wrote no digest at {}: {e}", digest_path.display()))?;
-            Some(fingerprint(&d))
-        } else {
-            None
-        };
-        Ok(CompressRun {
-            transport: "tcp".into(),
-            arch: arch.into(),
-            codec: codec.into(),
-            protocol: protocol.into(),
-            final_loss,
-            val_acc: acc("val_acc"),
-            test_acc: acc("test_acc"),
-            fetch_logical_bytes: fetch.0,
-            fetch_wire_bytes: fetch.1,
-            fetch_messages: fetch.2,
-            grad_logical_bytes: grad.0,
-            grad_wire_bytes: grad.1,
-            grad_messages: grad.2,
-            epoch_time_s: mean(&epoch_times),
-            digest,
-        })
-    })();
-    let _ = std::fs::remove_file(&out);
-    let _ = std::fs::remove_file(&digest_path);
-    result.map_err(|e| format!("{arch}/{codec}/{protocol}: {e}"))
-}
-
-/// Runs the configured grid: the sim sweep in-process, then the TCP
-/// subset as real OS processes.
-///
-/// # Errors
-///
-/// Propagates workload, spawn and report-parsing failures, naming the
-/// grid cell.
-pub fn run_compressbench(cfg: &CompressBenchConfig) -> Result<CompressBenchReport, String> {
-    let mut runs = Vec::new();
-    if cfg.transports.iter().any(|t| t == "sim") {
-        for cell in sim_grid(cfg.quick) {
-            runs.push(run_sim(cfg, cell)?);
-        }
-    }
-    if cfg.transports.iter().any(|t| t == "tcp") {
-        let exe = launcher::sibling_binary("sar-worker")?;
-        for cell in tcp_grid(cfg.quick) {
-            runs.push(run_tcp(&exe, cfg, cell)?);
-        }
-    }
-    Ok(CompressBenchReport {
-        world: cfg.world,
-        nodes: cfg.nodes,
-        epochs: cfg.epochs,
-        runs,
-    })
-}
-
-// ----------------------------------------------------------------------
-// JSON report
-// ----------------------------------------------------------------------
-
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
-    }
-}
-
-impl CompressBenchReport {
-    /// Serializes the report as the schema-versioned
-    /// `BENCH_compress.json` document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"world\": {},", self.world);
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(s, "  \"epochs\": {},", self.epochs);
-        s.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"transport\": \"{}\", \"arch\": \"{}\", \"codec\": \"{}\", \
-                 \"protocol\": \"{}\", \"final_loss\": {}, \"val_acc\": {}, \
-                 \"test_acc\": {}, \"fetch_logical_bytes\": {}, \"fetch_wire_bytes\": {}, \
-                 \"fetch_messages\": {}, \"grad_logical_bytes\": {}, \"grad_wire_bytes\": {}, \
-                 \"grad_messages\": {}, \"epoch_time_s\": {}, \"digest\": {}}}",
-                r.transport,
-                r.arch,
-                r.codec,
-                r.protocol,
-                fmt_num(r.final_loss),
-                fmt_num(r.val_acc),
-                fmt_num(r.test_acc),
-                r.fetch_logical_bytes,
-                r.fetch_wire_bytes,
-                r.fetch_messages,
-                r.grad_logical_bytes,
-                r.grad_wire_bytes,
-                r.grad_messages,
-                fmt_num(r.epoch_time_s),
-                r.digest
-                    .as_ref()
-                    .map_or("null".to_string(), |d| format!("\"{d}\"")),
-            );
-            s.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes [`CompressBenchReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors as strings.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
-    }
 }
 
 // ----------------------------------------------------------------------
 // The CI gate
 // ----------------------------------------------------------------------
 
+/// Payload-only bytes: the ledgered volume minus the 32-byte frame
+/// header each message carries on both the logical and the wire side.
+fn payload(bytes: f64, messages: f64) -> f64 {
+    bytes - 32.0 * messages
+}
+
 /// The identity of one run within a report.
-fn run_key(r: &JsonValue) -> String {
-    let s = |k: &str| r.get(k).and_then(JsonValue::str).unwrap_or("?");
+fn run_key(r: &Value) -> String {
+    let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("?");
     format!(
         "{}/{}/{}/{}",
         s("transport"),
@@ -469,20 +209,14 @@ fn run_key(r: &JsonValue) -> String {
     )
 }
 
-/// Payload-only bytes: the ledgered volume minus the 32-byte frame
-/// header each message carries on both the logical and the wire side.
-fn payload(bytes: f64, messages: f64) -> f64 {
-    bytes - 32.0 * messages
-}
-
 /// Invariants one report's run set must satisfy, fresh or committed.
 /// `label` names the side in violation messages. Epoch times are never
 /// compared.
-fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
+fn report_invariants(label: &str, runs: &[Value]) -> Vec<String> {
     let mut violations = Vec::new();
     let find = |transport: &str, arch: &str, codec: &str, protocol: &str| {
-        runs.iter().copied().find(|r| {
-            let s = |k: &str| r.get(k).and_then(JsonValue::str).unwrap_or("");
+        runs.iter().find(|r| {
+            let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("");
             s("transport") == transport
                 && s("arch") == arch
                 && s("codec") == codec
@@ -491,8 +225,8 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
     };
     for r in runs {
         let ctx = format!("{label} run {}", run_key(r));
-        let num = |k: &str| r.get(k).and_then(JsonValue::num);
-        let s = |k: &str| r.get(k).and_then(JsonValue::str).unwrap_or("?");
+        let num = |k: &str| r.get(k).and_then(Value::num);
+        let s = |k: &str| r.get(k).and_then(Value::str).unwrap_or("?");
         let (codec, protocol) = (s("codec"), s("protocol"));
         match num("final_loss") {
             Some(l) if l.is_finite() => {}
@@ -558,7 +292,7 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
         if protocol.starts_with("stale:") {
             if let Some(b) = baseline
                 .and_then(|b| b.get("fetch_logical_bytes"))
-                .and_then(JsonValue::num)
+                .and_then(Value::num)
             {
                 if f_log >= b * 3.0 / 4.0 {
                     violations.push(format!(
@@ -570,9 +304,7 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
         }
         if let (Some(acc), Some(base_acc)) = (
             num("val_acc"),
-            baseline
-                .and_then(|b| b.get("val_acc"))
-                .and_then(JsonValue::num),
+            baseline.and_then(|b| b.get("val_acc")).and_then(Value::num),
         ) {
             if acc < base_acc - ACC_FLOOR {
                 violations.push(format!(
@@ -588,10 +320,10 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
     let digests: Vec<(&str, &str, &str)> = runs
         .iter()
         .filter_map(|r| {
-            let d = r.get("digest").and_then(JsonValue::str)?;
+            let d = r.get("digest").and_then(Value::str)?;
             Some((
-                r.get("arch").and_then(JsonValue::str)?,
-                r.get("transport").and_then(JsonValue::str)?,
+                r.get("arch").and_then(Value::str)?,
+                r.get("transport").and_then(Value::str)?,
                 d,
             ))
         })
@@ -610,114 +342,116 @@ fn report_invariants(label: &str, runs: &[&JsonValue]) -> Vec<String> {
     violations
 }
 
-/// Compares a fresh report against the committed `BENCH_compress.json`.
-///
-/// Returns the violations (empty = gate passes). Hard-fails on a schema
-/// or run-set mismatch (the artifact is stale — regenerate it); both the
-/// fresh and the committed run sets must satisfy [`report_invariants`].
-#[must_use]
-pub fn check_against(current: &CompressBenchReport, committed_text: &str) -> Vec<String> {
-    let committed = match parse_json(committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![format!("committed JSON parse error: {e}")],
-    };
-    match committed.get("schema").and_then(JsonValue::str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return vec![format!(
-                "committed schema \"{s}\" does not match this binary's \"{SCHEMA}\" — \
-                 regenerate with `repro compressbench --out BENCH_compress.json`"
-            )]
-        }
-        None => return vec!["committed BENCH_compress.json has no \"schema\" field".into()],
-    }
-    let mut violations = Vec::new();
-    let committed_runs: Vec<&JsonValue> = committed
-        .get("runs")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-        .iter()
-        .collect();
-    let current_doc = match parse_json(&current.to_json()) {
-        Ok(doc) => doc,
-        Err(e) => return vec![format!("current report does not serialize: {e}")],
-    };
-    let current_runs: Vec<&JsonValue> = current_doc
-        .get("runs")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-        .iter()
-        .collect();
-    let committed_keys: Vec<String> = committed_runs.iter().map(|r| run_key(r)).collect();
-    let current_keys: Vec<String> = current_runs.iter().map(|r| run_key(r)).collect();
-    for k in &committed_keys {
-        if !current_keys.contains(k) {
-            violations.push(format!(
-                "run {k} is committed but was not produced — the grid changed; \
-                 regenerate BENCH_compress.json"
-            ));
-        }
-    }
-    for k in &current_keys {
-        if !committed_keys.contains(k) {
-            violations.push(format!(
-                "run {k} is new (not committed) — regenerate BENCH_compress.json"
-            ));
-        }
-    }
-    violations.extend(report_invariants("committed", &committed_runs));
-    violations.extend(report_invariants("current", &current_runs));
-    violations
-}
+/// `repro compressbench`: the sim grid in-process, then the TCP subset
+/// as real OS processes, gated on `BENCH_compress.json` by run set and
+/// [`report_invariants`].
+pub struct CompressBench;
 
-/// Pretty-prints the report as an aligned table on stderr.
-pub fn print_table(report: &CompressBenchReport) {
-    eprintln!(
-        "[compressbench] world={} nodes={} epochs={}",
-        report.world, report.nodes, report.epochs
-    );
-    eprintln!(
-        "{:<4} {:<5} {:<6} {:<9} {:>9} {:>7} {:>12} {:>12} {:>8} {:>12} {:>12}",
-        "xprt",
-        "arch",
-        "codec",
-        "protocol",
-        "loss",
-        "val%",
-        "fetch_log_B",
-        "fetch_wire_B",
-        "reduce",
-        "grad_log_B",
-        "grad_wire_B"
-    );
-    for r in &report.runs {
-        let lp = payload(r.fetch_logical_bytes as f64, r.fetch_messages as f64);
-        let wp = payload(r.fetch_wire_bytes as f64, r.fetch_messages as f64);
-        let reduce = if wp > 0.0 { lp / wp } else { f64::NAN };
-        eprintln!(
-            "{:<4} {:<5} {:<6} {:<9} {:>9.4} {:>7.2} {:>12} {:>12} {:>8} {:>12} {:>12}",
-            r.transport,
-            r.arch,
-            r.codec,
-            r.protocol,
-            r.final_loss,
-            100.0 * r.val_acc,
-            r.fetch_logical_bytes,
-            r.fetch_wire_bytes,
-            if reduce.is_finite() {
-                format!("{reduce:.2}x")
-            } else {
-                "-".into()
-            },
-            r.grad_logical_bytes,
-            r.grad_wire_bytes
+impl Bench for CompressBench {
+    const NAME: &'static str = "compressbench";
+    const SCHEMA: &'static str = "sar-compressbench/v1";
+    const ARTIFACT: &'static str = "BENCH_compress.json";
+    const ARRAYS: &'static [&'static str] = &["runs"];
+    type Report = Vec<CompressRun>;
+
+    fn run() -> Result<Vec<CompressRun>, String> {
+        let sim = SIM_GRID.iter().map(|&cell| run_cell("sim", cell));
+        let tcp = TCP_GRID.iter().map(|&cell| run_cell("tcp", cell));
+        sim.chain(tcp).collect()
+    }
+
+    fn header(_runs: &Vec<CompressRun>) -> Vec<(&'static str, String)> {
+        vec![
+            ("world", WORLD.to_string()),
+            ("nodes", NODES.to_string()),
+            ("epochs", EPOCHS.to_string()),
+        ]
+    }
+
+    fn records(runs: &Vec<CompressRun>) -> Vec<Vec<String>> {
+        vec![runs
+            .iter()
+            .map(|r| {
+                Obj::new()
+                    .str("transport", &r.transport)
+                    .str("arch", &r.arch)
+                    .str("codec", &r.codec)
+                    .str("protocol", &r.protocol)
+                    .num("final_loss", r.final_loss, 6)
+                    .num("val_acc", r.val_acc, 6)
+                    .num("test_acc", r.test_acc, 6)
+                    .raw("fetch_logical_bytes", r.fetch_logical_bytes)
+                    .raw("fetch_wire_bytes", r.fetch_wire_bytes)
+                    .raw("fetch_messages", r.fetch_messages)
+                    .raw("grad_logical_bytes", r.grad_logical_bytes)
+                    .raw("grad_wire_bytes", r.grad_wire_bytes)
+                    .raw("grad_messages", r.grad_messages)
+                    .num("epoch_time_s", r.epoch_time_s, 6)
+                    .raw(
+                        "digest",
+                        r.digest
+                            .as_deref()
+                            .map_or("null".into(), crate::json::string),
+                    )
+                    .finish()
+            })
+            .collect()]
+    }
+
+    fn tables(runs: &Vec<CompressRun>) -> Vec<Table> {
+        let mut t = Table::new(
+            format!("compressbench — world={WORLD} nodes={NODES} epochs={EPOCHS}"),
+            &[
+                "xprt",
+                "arch",
+                "codec",
+                "protocol",
+                "loss",
+                "val%",
+                "fetch_log_B",
+                "fetch_wire_B",
+                "reduce",
+                "grad_log_B",
+                "grad_wire_B",
+            ],
         );
+        for r in runs {
+            let lp = payload(r.fetch_logical_bytes as f64, r.fetch_messages as f64);
+            let wp = payload(r.fetch_wire_bytes as f64, r.fetch_messages as f64);
+            t.row(vec![
+                r.transport.clone(),
+                r.arch.clone(),
+                r.codec.clone(),
+                r.protocol.clone(),
+                format!("{:.4}", r.final_loss),
+                format!("{:.2}", 100.0 * r.val_acc),
+                r.fetch_logical_bytes.to_string(),
+                r.fetch_wire_bytes.to_string(),
+                if wp > 0.0 {
+                    format!("{:.2}x", lp / wp)
+                } else {
+                    "-".into()
+                },
+                r.grad_logical_bytes.to_string(),
+                r.grad_wire_bytes.to_string(),
+            ]);
+        }
+        vec![t]
+    }
+
+    fn run_key(_array: &str, run: &Value) -> Result<String, String> {
+        Ok(run_key(run))
+    }
+
+    fn invariants(label: &str, doc: &Value) -> Vec<String> {
+        report_invariants(label, doc.items("runs"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{check, to_json};
 
     fn run(transport: &str, codec: &str, protocol: &str, digest: Option<&str>) -> CompressRun {
         // Logical volumes mimic a real sweep: 1000 fetch messages of
@@ -757,98 +491,77 @@ mod tests {
         }
     }
 
-    fn sample_report() -> CompressBenchReport {
-        CompressBenchReport {
-            world: 4,
-            nodes: 1200,
-            epochs: 8,
-            runs: vec![
-                run("sim", "raw", "exact", Some("00ff00ff00ff00ff")),
-                run("sim", "f16", "exact", None),
-                run("sim", "int8", "exact", None),
-                run("sim", "delta", "exact", None),
-                run("sim", "raw", "gradonly", None),
-                run("sim", "raw", "stale:4", None),
-                run("tcp", "raw", "exact", Some("00ff00ff00ff00ff")),
-            ],
-        }
+    fn sample_report() -> Vec<CompressRun> {
+        vec![
+            run("sim", "raw", "exact", Some("00ff00ff00ff00ff")),
+            run("sim", "f16", "exact", None),
+            run("sim", "int8", "exact", None),
+            run("sim", "delta", "exact", None),
+            run("sim", "raw", "gradonly", None),
+            run("sim", "raw", "stale:4", None),
+            run("tcp", "raw", "exact", Some("00ff00ff00ff00ff")),
+        ]
     }
 
-    #[test]
-    fn report_round_trips_and_passes_against_itself() {
-        let r = sample_report();
-        let doc = parse_json(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.get("schema").and_then(JsonValue::str), Some(SCHEMA));
-        assert_eq!(
-            doc.get("runs").and_then(JsonValue::arr).map(<[_]>::len),
-            Some(7)
-        );
-        let violations = check_against(&r, &r.to_json());
-        assert!(violations.is_empty(), "{violations:?}");
+    fn gate(current: &Vec<CompressRun>, committed: &str) -> Vec<String> {
+        check::<CompressBench>(&to_json::<CompressBench>(current), committed)
     }
 
     #[test]
     fn timings_may_drift_but_the_grid_may_not() {
         let r = sample_report();
-        let committed = r.to_json();
+        let committed = to_json::<CompressBench>(&r);
         // Epoch times drift freely.
         let mut slow = r.clone();
-        for run in &mut slow.runs {
+        for run in &mut slow {
             run.epoch_time_s *= 100.0;
         }
-        assert!(check_against(&slow, &committed).is_empty());
+        assert!(gate(&slow, &committed).is_empty());
         // A missing run is structural drift.
         let mut fewer = r.clone();
-        fewer.runs.pop();
-        assert!(check_against(&fewer, &committed)
+        fewer.pop();
+        assert!(gate(&fewer, &committed)
             .iter()
             .any(|v| v.contains("not produced")));
-        // Schema identity is hard.
-        let stale = committed.replace(SCHEMA, "sar-compressbench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
     }
 
     #[test]
     fn gate_rejects_broken_codec_and_protocol_claims() {
         let r = sample_report();
-        let committed = r.to_json();
+        let committed = to_json::<CompressBench>(&r);
         // raw must move exactly its logical volume.
         let mut leaky = r.clone();
-        leaky.runs[0].fetch_wire_bytes += 64;
-        assert!(check_against(&leaky, &committed)
+        leaky[0].fetch_wire_bytes += 64;
+        assert!(gate(&leaky, &committed)
             .iter()
             .any(|v| v.contains("raw codec")));
         // A lossy codec that stops compressing fails the 2x bar.
         let mut bloated = r.clone();
-        bloated.runs[1].fetch_wire_bytes = bloated.runs[1].fetch_logical_bytes;
-        assert!(check_against(&bloated, &committed)
+        bloated[1].fetch_wire_bytes = bloated[1].fetch_logical_bytes;
+        assert!(gate(&bloated, &committed)
             .iter()
             .any(|v| v.contains("below the")));
         // gradonly moving gradient bytes is a protocol violation.
         let mut routed = r.clone();
-        routed.runs[4].grad_wire_bytes = 9000;
-        routed.runs[4].grad_logical_bytes = 9000;
-        assert!(check_against(&routed, &committed)
+        routed[4].grad_wire_bytes = 9000;
+        routed[4].grad_logical_bytes = 9000;
+        assert!(gate(&routed, &committed)
             .iter()
             .any(|v| v.contains("gradonly")));
         // A stale run with the full exact fetch volume skipped nothing.
         let mut eager = r.clone();
-        eager.runs[5].fetch_logical_bytes = eager.runs[0].fetch_logical_bytes;
-        eager.runs[5].fetch_wire_bytes = eager.runs[0].fetch_wire_bytes;
-        assert!(check_against(&eager, &committed)
-            .iter()
-            .any(|v| v.contains("stale")));
+        eager[5].fetch_logical_bytes = eager[0].fetch_logical_bytes;
+        eager[5].fetch_wire_bytes = eager[0].fetch_wire_bytes;
+        assert!(gate(&eager, &committed).iter().any(|v| v.contains("stale")));
         // Diverging cross-transport digests mean the codec perturbed
         // training.
         let mut skew = r.clone();
-        skew.runs[6].digest = Some("deadbeefdeadbeef".into());
-        assert!(check_against(&skew, &committed)
-            .iter()
-            .any(|v| v.contains("digest")));
+        skew[6].digest = Some("deadbeefdeadbeef".into());
+        assert!(gate(&skew, &committed).iter().any(|v| v.contains("digest")));
         // Accuracy collapse under an approximate protocol fails the floor.
         let mut collapsed = r.clone();
-        collapsed.runs[4].val_acc = 0.1;
-        assert!(check_against(&collapsed, &committed)
+        collapsed[4].val_acc = 0.1;
+        assert!(gate(&collapsed, &committed)
             .iter()
             .any(|v| v.contains("accuracy")));
     }
@@ -862,16 +575,14 @@ mod tests {
 
     #[test]
     fn grids_cover_the_claimed_cells() {
-        let full = sim_grid(false);
-        assert!(full.contains(&("sage", "raw", "exact")));
-        assert!(full.contains(&("sage", "delta", "exact")));
-        assert!(full.contains(&("gat", "int8", "exact")));
-        assert!(full.len() > sim_grid(true).len());
-        // Every TCP cell also exists in the sim grid, so the digest
-        // cross-check always has both sides.
-        for cell in tcp_grid(false) {
+        assert!(SIM_GRID.contains(&("sage", "raw", "exact")));
+        assert!(SIM_GRID.contains(&("sage", "delta", "exact")));
+        assert!(SIM_GRID.contains(&("gat", "int8", "exact")));
+        // Every TCP raw/exact cell also exists in the sim grid, so the
+        // digest cross-check always has both sides.
+        for cell in TCP_GRID {
             assert!(
-                cell.1 != "raw" || cell.2 != "exact" || full.contains(&cell),
+                cell.1 != "raw" || cell.2 != "exact" || SIM_GRID.contains(&cell),
                 "tcp raw/exact cell missing from the sim grid"
             );
         }

@@ -44,7 +44,7 @@ const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Everything that defines a training run, expressible as command-line
 /// flags so independent processes can rebuild identical state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Synthetic dataset family: `"products"` or `"papers"`.
     pub dataset: String,
@@ -135,12 +135,12 @@ impl Default for Workload {
 }
 
 impl Workload {
-    /// Serializes the workload back into `sar-worker` flags, every field
+    /// The flags that take no value.
+    pub const SWITCHES: [&'static str; 3] = ["--jk", "--no-label-aug", "--cs"];
+
+    /// Serializes the workload into the rank binaries' flags, every field
     /// explicit so child processes never depend on defaults drifting.
-    ///
-    /// `sar-serve` parses this same vocabulary (ignoring training-only
-    /// flags) — when adding a field here, teach its parser the new flag
-    /// too or servebench's cluster spawn fails with "unknown flag".
+    /// [`Workload::from_args`] is the inverse.
     pub fn to_args(&self) -> Vec<String> {
         let mut a: Vec<String> = [
             ("--dataset", self.dataset.clone()),
@@ -177,6 +177,57 @@ impl Workload {
             a.push("--cs".into());
         }
         a
+    }
+
+    /// Parses workload flags, starting from [`Workload::default`] — the
+    /// inverse of [`Workload::to_args`].
+    ///
+    /// # Errors
+    ///
+    /// Names an unknown flag, a missing value or a malformed number.
+    pub fn from_args(args: &[String]) -> Result<Workload, String> {
+        fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("{flag} takes a number, not {v}"))
+        }
+        let mut w = Workload::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--jk" => w.jk = true,
+                "--no-label-aug" => w.label_aug = false,
+                "--cs" => w.cs = true,
+                f => {
+                    let v = args
+                        .next()
+                        .ok_or_else(|| format!("missing value for {f}"))?;
+                    match f {
+                        "--dataset" => w.dataset = v.clone(),
+                        "--nodes" => w.nodes = num(f, v)?,
+                        "--arch" => w.arch = v.clone(),
+                        "--hidden" => w.hidden = num(f, v)?,
+                        "--heads" => w.heads = num(f, v)?,
+                        "--mode" => w.mode = v.clone(),
+                        "--layers" => w.layers = num(f, v)?,
+                        "--epochs" => w.epochs = num(f, v)?,
+                        "--lr" => w.lr = num(f, v)?,
+                        "--dropout" => w.dropout = num(f, v)?,
+                        "--aug-frac" => w.aug_frac = num(f, v)?,
+                        "--partitioner" => w.partitioner = v.clone(),
+                        "--schedule" => w.schedule = v.clone(),
+                        "--seed" => w.seed = num(f, v)?,
+                        "--threads" => w.threads = num(f, v)?,
+                        "--simd" => w.simd = v.clone(),
+                        "--prefetch-depth" => w.prefetch_depth = num(f, v)?,
+                        "--codec" => w.codec = v.clone(),
+                        "--protocol" => w.protocol = v.clone(),
+                        "--mem-budget" => w.mem_budget = num(f, v)?,
+                        other => return Err(format!("unknown flag {other}")),
+                    }
+                }
+            }
+        }
+        Ok(w)
     }
 
     /// Rebuilds the dataset and partitioning deterministically from the
@@ -658,24 +709,18 @@ mod tests {
             protocol: "stale:4".into(),
             mem_budget: 1 << 20,
         };
-        let args = wl.to_args();
-        // Spot-check the flags a child would parse back.
-        let find = |k: &str| -> Option<&String> {
-            args.iter()
-                .position(|a| a == k)
-                .and_then(|i| args.get(i + 1))
+        assert_eq!(Workload::from_args(&wl.to_args()), Ok(wl));
+        assert_eq!(
+            Workload::from_args(&Workload::default().to_args()),
+            Ok(Workload::default())
+        );
+        let bad = |args: &[&str]| {
+            Workload::from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+                .unwrap_err()
         };
-        assert_eq!(find("--dataset").unwrap(), "papers");
-        assert_eq!(find("--lr").unwrap().parse::<f32>().unwrap(), 0.025);
-        assert_eq!(find("--threads").unwrap(), "4");
-        assert_eq!(find("--simd").unwrap(), "scalar");
-        assert!(args.contains(&"--jk".to_string()));
-        assert!(args.contains(&"--no-label-aug".to_string()));
-        assert!(args.contains(&"--cs".to_string()));
-        assert_eq!(find("--prefetch-depth").unwrap(), "2");
-        assert_eq!(find("--codec").unwrap(), "int8");
-        assert_eq!(find("--protocol").unwrap(), "stale:4");
-        assert_eq!(find("--mem-budget").unwrap(), "1048576");
+        assert!(bad(&["--nodes", "many"]).contains("--nodes"));
+        assert!(bad(&["--bogus", "1"]).contains("unknown flag --bogus"));
+        assert!(bad(&["--seed"]).contains("missing value"));
     }
 
     #[test]

@@ -30,8 +30,6 @@
 //! the reported `cpu_us` covers the whole pool, not just the timing
 //! thread.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::rc::Rc;
 use std::time::Instant;
@@ -44,10 +42,9 @@ use sar_graph::ops;
 use sar_tensor::init::randn;
 use sar_tensor::{pool, simd};
 
-/// Schema tag written into (and required from) `BENCH_kernels.json`.
-/// Bump whenever the kernel set, the work models or the field layout
-/// change; the CI gate refuses to compare across schema versions.
-pub const SCHEMA: &str = "sar-kernelbench/v1";
+use crate::harness::Bench;
+use crate::json::{self, Obj, Value};
+use crate::report::Table;
 
 /// Relative slack on the baseline roofline ratio: a kernel fails the
 /// gate only below `baseline × (1 − REL_TOLERANCE) − ABS_TOLERANCE`.
@@ -417,592 +414,143 @@ pub fn run_bench(quick: bool) -> BenchReport {
 }
 
 // ----------------------------------------------------------------------
-// JSON report
-// ----------------------------------------------------------------------
-
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
-
-impl BenchReport {
-    /// Serializes the report as the schema-versioned
-    /// `BENCH_kernels.json` document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"simd\": \"{}\",", self.simd);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(
-            s,
-            "  \"calibration\": {{\"peak_gflops\": {}, \"stream_gbs\": {}}},",
-            fmt_num(self.peak_gflops),
-            fmt_num(self.stream_gbs)
-        );
-        s.push_str("  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"name\": \"{}\", \"iters\": {}, \"wall_us\": {}, \"cpu_us\": {}, \
-                 \"gflops\": {}, \"ai_flops_per_byte\": {}, \"roofline_gflops\": {}, \
-                 \"roofline_ratio\": {}}}",
-                k.name,
-                k.iters,
-                fmt_num(k.wall_us),
-                fmt_num(k.cpu_us),
-                fmt_num(k.gflops),
-                fmt_num(k.ai),
-                fmt_num(k.roofline_gflops),
-                fmt_num(k.roofline_ratio)
-            );
-            s.push_str(if i + 1 < self.kernels.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes [`BenchReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors as strings.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
-    }
-}
-
-// ----------------------------------------------------------------------
-// Minimal JSON parser (the workspace is dependency-free by design)
-// ----------------------------------------------------------------------
-
-mod json {
-    //! A minimal recursive-descent JSON parser — just enough to read the
-    //! workspace's own hand-written benchmark artifacts back.
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number, as `f64`.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, insertion-ordered.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        /// The value as a string, if it is one.
-        pub fn str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        /// The value as a number, if it is one.
-        pub fn num(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        /// The value as an array slice, if it is one.
-        pub fn arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-        depth: usize,
-    }
-
-    const MAX_DEPTH: usize = 64;
-
-    impl<'a> Parser<'a> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| format!("unexpected end of input at byte {}", self.i))
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            let got = self.peek()?;
-            if got != c {
-                return Err(format!(
-                    "expected '{}' at byte {}, found '{}'",
-                    c as char, self.i, got as char
-                ));
-            }
-            self.i += 1;
-            Ok(())
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("invalid literal at byte {}", self.i))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self
-                            .b
-                            .get(self.i)
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex)
-                                        .map_err(|_| "bad \\u escape".to_string())?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                                self.i += 4;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| "bad \\u code point".to_string())?,
-                                );
-                            }
-                            other => {
-                                return Err(format!("unknown escape \\{}", other as char));
-                            }
-                        }
-                    }
-                    _ if c >= 0x80 => {
-                        // Re-assemble the full multi-byte UTF-8 sequence.
-                        let start = self.i - 1;
-                        while self.b.get(self.i).is_some_and(|&b| b & 0xC0 == 0x80) {
-                            self.i += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.b[start..self.i]).unwrap_or("\u{fffd}"),
-                        );
-                    }
-                    _ => out.push(c as char),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.i;
-            while self
-                .b
-                .get(self.i)
-                .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-            {
-                self.i += 1;
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.depth += 1;
-            if self.depth > MAX_DEPTH {
-                return Err("JSON nesting too deep".into());
-            }
-            let v = match self.peek()? {
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    if self.peek()? == b'}' {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            self.skip_ws();
-                            let key = self.string()?;
-                            self.expect(b':')?;
-                            let val = self.value()?;
-                            fields.push((key, val));
-                            match self.peek()? {
-                                b',' => self.i += 1,
-                                b'}' => {
-                                    self.i += 1;
-                                    break;
-                                }
-                                c => {
-                                    return Err(format!(
-                                        "expected ',' or '}}' at byte {}, found '{}'",
-                                        self.i, c as char
-                                    ))
-                                }
-                            }
-                        }
-                    }
-                    Value::Obj(fields)
-                }
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    if self.peek()? == b']' {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            items.push(self.value()?);
-                            match self.peek()? {
-                                b',' => self.i += 1,
-                                b']' => {
-                                    self.i += 1;
-                                    break;
-                                }
-                                c => {
-                                    return Err(format!(
-                                        "expected ',' or ']' at byte {}, found '{}'",
-                                        self.i, c as char
-                                    ))
-                                }
-                            }
-                        }
-                    }
-                    Value::Arr(items)
-                }
-                b'"' => Value::Str(self.string()?),
-                b't' => self.literal("true", Value::Bool(true))?,
-                b'f' => self.literal("false", Value::Bool(false))?,
-                b'n' => self.literal("null", Value::Null)?,
-                _ => self.number()?,
-            };
-            self.depth -= 1;
-            Ok(v)
-        }
-    }
-
-    /// Parses a complete JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a byte-offset-bearing message on malformed input.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-            depth: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes after JSON value at byte {}", p.i));
-        }
-        Ok(v)
-    }
-}
-
-pub use json::parse as parse_json;
-pub use json::Value as JsonValue;
-
-// ----------------------------------------------------------------------
 // The CI gate
 // ----------------------------------------------------------------------
 
-/// Compares a fresh run against the committed `BENCH_kernels.json`.
+/// `repro kernelbench`: the workload matrix at one pool thread under the
+/// default SIMD dispatch, gated on `BENCH_kernels.json`.
 ///
-/// Returns the violations (empty = gate passes). Hard-fails on a schema
-/// or kernel-set mismatch (the baseline is stale — regenerate it);
-/// per-kernel roofline ratios fail only below
-/// `baseline × (1 − REL_TOLERANCE) − ABS_TOLERANCE`.
-#[must_use]
-pub fn check_against(current: &BenchReport, baseline_text: &str) -> Vec<String> {
-    let base = match json::parse(baseline_text) {
-        Ok(b) => b,
-        Err(e) => return vec![format!("baseline JSON parse error: {e}")],
-    };
-    match base.get("schema").and_then(JsonValue::str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return vec![format!(
-                "baseline schema \"{s}\" does not match this binary's \"{SCHEMA}\" — \
-                 regenerate with `repro kernelbench --out BENCH_kernels.json`"
-            )]
-        }
-        None => return vec!["baseline has no \"schema\" field".into()],
-    }
-    let mut violations = Vec::new();
-    let mut base_ratios: BTreeMap<String, f64> = BTreeMap::new();
-    for k in base
-        .get("kernels")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-    {
-        if let (Some(name), Some(ratio)) = (
-            k.get("name").and_then(JsonValue::str),
-            k.get("roofline_ratio").and_then(JsonValue::num),
-        ) {
-            base_ratios.insert(name.to_string(), ratio);
-        }
-    }
-    if base_ratios.is_empty() {
-        return vec!["baseline has no kernels — regenerate it".into()];
-    }
-    let current_names: BTreeMap<&str, f64> = current
-        .kernels
-        .iter()
-        .map(|k| (k.name.as_str(), k.roofline_ratio))
-        .collect();
-    for name in base_ratios.keys() {
-        if !current_names.contains_key(name.as_str()) {
-            violations.push(format!(
-                "kernel \"{name}\" is in the baseline but not in this run — \
-                 the workload matrix changed; regenerate the baseline"
-            ));
-        }
-    }
-    for (name, &ratio) in &current_names {
-        let Some(&base_ratio) = base_ratios.get(*name) else {
-            violations.push(format!(
-                "kernel \"{name}\" is new (not in the baseline) — regenerate the baseline"
-            ));
-            continue;
-        };
-        if !ratio.is_finite() {
-            violations.push(format!("kernel \"{name}\" produced a non-finite ratio"));
-            continue;
-        }
-        let floor = base_ratio * (1.0 - REL_TOLERANCE) - ABS_TOLERANCE;
-        if ratio < floor {
-            violations.push(format!(
-                "kernel \"{name}\" regressed: roofline ratio {ratio:.4} is below the \
-                 gate floor {floor:.4} (baseline {base_ratio:.4}, tolerance \
-                 −{:.0}% −{ABS_TOLERANCE})",
-                REL_TOLERANCE * 100.0
-            ));
-        }
-    }
-    violations
-}
+/// The gate *hard-fails* on a schema mismatch or a kernel-set mismatch
+/// (the baseline is stale — regenerate it); per-kernel roofline ratios
+/// must be finite and fail only below `baseline × (1 − REL_TOLERANCE) −
+/// ABS_TOLERANCE`.
+pub struct KernelBench;
 
-/// Pretty-prints the report as an aligned table on stderr.
-pub fn print_table(report: &BenchReport) {
-    eprintln!(
-        "[kernelbench] simd={} threads={} peak={:.2} GFLOP/s stream={:.2} GB/s",
-        report.simd, report.threads, report.peak_gflops, report.stream_gbs
-    );
-    eprintln!(
-        "{:<28} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
-        "kernel", "iters", "wall_us", "cpu_us", "GFLOP/s", "AI", "roofline", "ratio"
-    );
-    for k in &report.kernels {
+impl Bench for KernelBench {
+    const NAME: &'static str = "kernelbench";
+    const SCHEMA: &'static str = "sar-kernelbench/v1";
+    const ARTIFACT: &'static str = "BENCH_kernels.json";
+    const ARRAYS: &'static [&'static str] = &["kernels"];
+    type Report = BenchReport;
+
+    fn run() -> Result<BenchReport, String> {
+        pool::set_threads(1);
         eprintln!(
-            "{:<28} {:>6} {:>12.1} {:>12.1} {:>9.3} {:>7.3} {:>9.3} {:>7.3}",
-            k.name,
-            k.iters,
-            k.wall_us,
-            k.cpu_us,
-            k.gflops,
-            k.ai,
-            k.roofline_gflops,
-            k.roofline_ratio
+            "[repro] kernelbench: simd={}, threads=1 ...",
+            simd::dispatch_label()
         );
+        Ok(run_bench(false))
     }
-}
 
-// ----------------------------------------------------------------------
-// BENCH_overlap.json invariants (the committed-copy CI diff)
-// ----------------------------------------------------------------------
-
-/// Identity of one smoke run inside `BENCH_overlap.json`.
-fn overlap_run_key(run: &JsonValue) -> Result<String, String> {
-    let s = |k: &str| {
-        run.get(k)
-            .and_then(JsonValue::str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("run record is missing string field \"{k}\""))
-    };
-    let n = |k: &str| {
-        run.get(k)
-            .and_then(JsonValue::num)
-            .ok_or_else(|| format!("run record is missing numeric field \"{k}\""))
-    };
-    // `simd` is optional for pre-SIMD artifacts; default matches the
-    // historical behaviour.
-    let simd = run
-        .get("simd")
-        .and_then(JsonValue::str)
-        .unwrap_or("auto")
-        .to_string();
-    Ok(format!(
-        "{}/{}/t{}/d{}/{}",
-        s("experiment")?,
-        s("transport")?,
-        n("threads")?,
-        n("prefetch_depth")?,
-        simd
-    ))
-}
-
-/// Diffs a freshly generated `BENCH_overlap.json` against the committed
-/// copy. Timings legitimately vary run to run, so the comparison covers
-/// only *structure and invariants*:
-///
-/// * the run set (experiment, transport, threads, prefetch-depth, simd)
-///   must be identical in both files,
-/// * each run's phase-name set must match the committed run's,
-/// * every phase must satisfy `0 ≤ blocked_us ≤ wall_us` and
-///   `cpu_us ≥ 0` — blocked time is a measured subset of wall time, so
-///   a violation means the ledger itself is corrupt. Phases the runtime
-///   does not wall-clock (`wall_us == 0`, e.g. `collective`) only need
-///   their entries non-negative.
-///
-/// Returns the violations (empty = the artifact is consistent).
-#[must_use]
-pub fn overlap_check(current_text: &str, committed_text: &str) -> Vec<String> {
-    let mut violations = Vec::new();
-    let parse_runs = |label: &str, text: &str| -> Result<BTreeMap<String, JsonValue>, String> {
-        let doc = json::parse(text).map_err(|e| format!("{label}: JSON parse error: {e}"))?;
-        let runs = doc
-            .get("runs")
-            .and_then(JsonValue::arr)
-            .ok_or_else(|| format!("{label}: no \"runs\" array"))?;
-        let mut out = BTreeMap::new();
-        for run in runs {
-            let key = overlap_run_key(run).map_err(|e| format!("{label}: {e}"))?;
-            out.insert(key, run.clone());
-        }
-        Ok(out)
-    };
-    let current = match parse_runs("current", current_text) {
-        Ok(c) => c,
-        Err(e) => return vec![e],
-    };
-    let committed = match parse_runs("committed", committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![e],
-    };
-    for key in committed.keys() {
-        if !current.contains_key(key) {
-            violations.push(format!(
-                "run {key} is in the committed BENCH_overlap.json but was not produced \
-                 — the smoke matrix changed; regenerate the committed copy"
-            ));
-        }
+    fn header(r: &BenchReport) -> Vec<(&'static str, String)> {
+        vec![
+            ("simd", json::string(&r.simd)),
+            ("threads", r.threads.to_string()),
+            (
+                "calibration",
+                Obj::new()
+                    .num("peak_gflops", r.peak_gflops, 4)
+                    .num("stream_gbs", r.stream_gbs, 4)
+                    .finish(),
+            ),
+        ]
     }
-    let phase_names = |run: &JsonValue| -> Vec<String> {
-        run.get("overlap")
-            .and_then(|o| o.get("phases"))
-            .and_then(JsonValue::arr)
-            .unwrap_or_default()
+
+    fn records(r: &BenchReport) -> Vec<Vec<String>> {
+        vec![r
+            .kernels
             .iter()
-            .filter_map(|p| p.get("phase").and_then(JsonValue::str).map(str::to_string))
-            .collect()
-    };
-    for (key, run) in &current {
-        let Some(base) = committed.get(key) else {
-            violations.push(format!(
-                "run {key} is new (not in the committed BENCH_overlap.json) — \
-                 regenerate the committed copy"
-            ));
-            continue;
-        };
-        let (mut cur_phases, mut base_phases) = (phase_names(run), phase_names(base));
-        cur_phases.sort();
-        base_phases.sort();
-        if cur_phases != base_phases {
-            violations.push(format!(
-                "run {key}: phase set {cur_phases:?} differs from committed {base_phases:?}"
-            ));
+            .map(|k| {
+                Obj::new()
+                    .str("name", &k.name)
+                    .raw("iters", k.iters)
+                    .num("wall_us", k.wall_us, 4)
+                    .num("cpu_us", k.cpu_us, 4)
+                    .num("gflops", k.gflops, 4)
+                    .num("ai_flops_per_byte", k.ai, 4)
+                    .num("roofline_gflops", k.roofline_gflops, 4)
+                    .num("roofline_ratio", k.roofline_ratio, 4)
+                    .finish()
+            })
+            .collect()]
+    }
+
+    fn tables(r: &BenchReport) -> Vec<Table> {
+        let mut t = Table::new(
+            format!(
+                "kernelbench — simd={} threads={} peak={:.2} GFLOP/s stream={:.2} GB/s",
+                r.simd, r.threads, r.peak_gflops, r.stream_gbs
+            ),
+            &[
+                "kernel", "iters", "wall_us", "cpu_us", "GFLOP/s", "AI", "roofline", "ratio",
+            ],
+        );
+        for k in &r.kernels {
+            t.row(vec![
+                k.name.clone(),
+                k.iters.to_string(),
+                format!("{:.1}", k.wall_us),
+                format!("{:.1}", k.cpu_us),
+                format!("{:.3}", k.gflops),
+                format!("{:.3}", k.ai),
+                format!("{:.3}", k.roofline_gflops),
+                format!("{:.3}", k.roofline_ratio),
+            ]);
         }
-        for p in run
-            .get("overlap")
-            .and_then(|o| o.get("phases"))
-            .and_then(JsonValue::arr)
-            .unwrap_or_default()
-        {
-            let name = p.get("phase").and_then(JsonValue::str).unwrap_or("?");
-            let f = |k: &str| p.get(k).and_then(JsonValue::num);
-            let (wall, blocked, cpu) = (f("wall_us"), f("blocked_us"), f("cpu_us"));
-            match (wall, blocked, cpu) {
-                (Some(w), Some(b), Some(c)) => {
-                    if !(b >= 0.0 && w >= 0.0 && c >= 0.0) {
-                        violations.push(format!(
-                            "run {key} phase {name}: negative ledger entry \
-                             (wall={w}, blocked={b}, cpu={c})"
-                        ));
-                    }
-                    // Blocked time is measured inside the wall interval;
-                    // allow a microscopic slack for summed rounding. A
-                    // zero wall means the runtime never clocks the phase
-                    // (the collective gather) — blocked alone is fine.
-                    if w > 0.0 && b > w * (1.0 + 1e-9) + 1.0 {
-                        violations.push(format!(
-                            "run {key} phase {name}: blocked_us {b} exceeds wall_us {w} \
-                             — the overlap ledger is inconsistent"
-                        ));
-                    }
-                }
-                _ => violations.push(format!(
-                    "run {key} phase {name}: missing wall_us/blocked_us/cpu_us"
-                )),
+        vec![t]
+    }
+
+    fn run_key(_array: &str, run: &Value) -> Result<String, String> {
+        run.str_field("name").map(|n| format!("\"{n}\""))
+    }
+
+    fn invariants(label: &str, doc: &Value) -> Vec<String> {
+        doc.items("kernels")
+            .iter()
+            .filter(|k| {
+                !k.get("roofline_ratio")
+                    .and_then(Value::num)
+                    .is_some_and(f64::is_finite)
+            })
+            .map(|k| {
+                let name = k.get("name").and_then(Value::str).unwrap_or("?");
+                format!("{label} kernel \"{name}\" has no finite roofline ratio")
+            })
+            .collect()
+    }
+
+    fn compare(current: &Value, committed: &Value) -> Vec<String> {
+        let ratio = |k: &Value| k.get("roofline_ratio").and_then(Value::num);
+        let mut violations = Vec::new();
+        for k in current.items("kernels") {
+            let name = k.get("name").and_then(Value::str);
+            let base = committed
+                .items("kernels")
+                .iter()
+                .find(|b| b.get("name").and_then(Value::str) == name);
+            let (Some(name), Some(ratio), Some(base_ratio)) =
+                (name, ratio(k), base.and_then(ratio))
+            else {
+                continue;
+            };
+            let floor = base_ratio * (1.0 - REL_TOLERANCE) - ABS_TOLERANCE;
+            if ratio < floor {
+                violations.push(format!(
+                    "kernel \"{name}\" regressed: roofline ratio {ratio:.4} is below the \
+                     gate floor {floor:.4} (baseline {base_ratio:.4}, tolerance \
+                     −{:.0}% −{ABS_TOLERANCE})",
+                    REL_TOLERANCE * 100.0
+                ));
             }
         }
+        violations
     }
-    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{check, to_json};
 
     fn sample_report() -> BenchReport {
         BenchReport {
@@ -1035,75 +583,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_json_round_trips_through_own_parser() {
-        let r = sample_report();
-        let doc = json::parse(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.get("schema").and_then(JsonValue::str), Some(SCHEMA));
-        assert_eq!(doc.get("threads").and_then(JsonValue::num), Some(1.0));
-        let kernels = doc.get("kernels").and_then(JsonValue::arr).unwrap();
-        assert_eq!(kernels.len(), 2);
-        assert_eq!(
-            kernels[1].get("name").and_then(JsonValue::str),
-            Some("matmul/384x256x256")
-        );
-        assert_eq!(
-            kernels[0].get("roofline_ratio").and_then(JsonValue::num),
-            Some(0.4)
-        );
-    }
-
-    #[test]
-    fn parser_handles_escapes_literals_and_rejects_garbage() {
-        let v = json::parse(r#"{"a": "x\n\"y\"", "b": [true, false, null, -1.5e2]}"#).unwrap();
-        assert_eq!(v.get("a").and_then(JsonValue::str), Some("x\n\"y\""));
-        let b = v.get("b").and_then(JsonValue::arr).unwrap();
-        assert_eq!(b[3].num(), Some(-150.0));
-        assert!(json::parse("{\"a\": }").is_err());
-        assert!(json::parse("[1, 2").is_err());
-        assert!(json::parse("{} trailing").is_err());
-    }
-
-    #[test]
-    fn check_passes_against_itself() {
-        let r = sample_report();
-        assert!(check_against(&r, &r.to_json()).is_empty());
+    fn gate(current: &BenchReport, committed: &BenchReport) -> Vec<String> {
+        check::<KernelBench>(
+            &to_json::<KernelBench>(current),
+            &to_json::<KernelBench>(committed),
+        )
     }
 
     #[test]
     fn check_fails_on_regression_within_tolerance_band() {
         let r = sample_report();
-        let baseline = r.to_json();
         let mut slow = r.clone();
         // Within tolerance: half the baseline ratio is still allowed.
         slow.kernels[1].roofline_ratio = 0.45;
-        assert!(check_against(&slow, &baseline).is_empty());
+        assert!(gate(&slow, &r).is_empty());
         // Beyond tolerance: must fail.
         slow.kernels[1].roofline_ratio = 0.1;
-        let v = check_against(&slow, &baseline);
+        let v = gate(&slow, &r);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("matmul"), "{v:?}");
+        // A non-finite ratio is never within tolerance.
+        slow.kernels[1].roofline_ratio = f64::NAN;
+        assert!(gate(&slow, &r).iter().any(|v| v.contains("no finite")));
     }
 
     #[test]
-    fn check_fails_on_schema_and_kernel_set_mismatch() {
+    fn check_fails_on_kernel_set_mismatch() {
         let r = sample_report();
-        let stale = r.to_json().replace(SCHEMA, "sar-kernelbench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
         let mut extra = r.clone();
         extra.kernels.push(KernelResult {
             name: "brand_new".into(),
             ..r.kernels[0].clone()
         });
-        assert!(check_against(&extra, &r.to_json())
-            .iter()
-            .any(|v| v.contains("brand_new")));
+        assert!(gate(&extra, &r).iter().any(|v| v.contains("brand_new")));
         let mut fewer = r.clone();
         fewer.kernels.pop();
-        assert!(check_against(&fewer, &r.to_json())
+        assert!(gate(&fewer, &r).iter().any(|v| v.contains("matmul")));
+        let mut empty = r.clone();
+        empty.kernels.clear();
+        assert!(gate(&r, &empty)
             .iter()
-            .any(|v| v.contains("matmul")));
-        assert!(!check_against(&r, "not json at all").is_empty());
+            .any(|v| v.contains("no \"kernels\"")));
     }
 
     #[test]
@@ -1115,40 +635,6 @@ mod tests {
             assert!(k.gflops.is_finite(), "{}", k.name);
             assert!(k.roofline_ratio.is_finite(), "{}", k.name);
         }
-        assert!(json::parse(&r.to_json()).is_ok());
-        assert!(check_against(&r, &r.to_json()).is_empty());
-    }
-
-    const OVERLAP: &str = r#"{"runs": [
-        {"experiment": "smoke-sage", "transport": "tcp", "threads": 1,
-         "prefetch_depth": 0, "simd": "auto",
-         "overlap": {"phases": [{"phase": "fetch", "wall_us": 10.0,
-          "blocked_us": 4.0, "comm_us": 3.0, "cpu_us": 6.0}]}}
-    ]}"#;
-
-    #[test]
-    fn overlap_check_accepts_consistent_and_flags_drift() {
-        assert!(overlap_check(OVERLAP, OVERLAP).is_empty());
-        // Timings may differ freely.
-        let retimed = OVERLAP.replace("10.0", "99.0");
-        assert!(overlap_check(&retimed, OVERLAP).is_empty());
-        // A missing run is structural drift.
-        let empty = r#"{"runs": []}"#;
-        assert!(overlap_check(empty, OVERLAP)
-            .iter()
-            .any(|v| v.contains("not produced")));
-        assert!(overlap_check(OVERLAP, empty)
-            .iter()
-            .any(|v| v.contains("new")));
-        // blocked > wall is a corrupt ledger.
-        let corrupt = OVERLAP.replace("\"blocked_us\": 4.0", "\"blocked_us\": 40.0");
-        assert!(overlap_check(&corrupt, OVERLAP)
-            .iter()
-            .any(|v| v.contains("exceeds wall_us")));
-        // ... unless the phase is one the runtime never wall-clocks
-        // (wall_us == 0, like the collective gather): blocked alone is
-        // legitimate there.
-        let untimed = OVERLAP.replace("\"wall_us\": 10.0", "\"wall_us\": 0.0");
-        assert!(overlap_check(&untimed, &untimed).is_empty());
+        assert!(gate(&r, &r).is_empty());
     }
 }

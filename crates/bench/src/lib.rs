@@ -26,13 +26,17 @@
 //! per-worker-thread live tensor high-water mark. Default sizes target a
 //! small CI machine; scale up with `--nodes`.
 //!
-//! Beyond the training experiments, [`kernelbench`] times the SAR
-//! kernel family over a fixed seeded workload matrix and gates CI on the
-//! committed `BENCH_kernels.json` perf trajectory (`repro kernelbench`).
+//! Beyond the training experiments, four benchmarks gate CI on committed
+//! `BENCH_*.json` artifacts through one driver ([`harness`]):
+//! [`kernelbench`] times the SAR kernel family over a fixed seeded
+//! workload matrix, [`servebench`] measures the serving tier,
+//! [`compressbench`] the wire codecs and approximate protocols, and
+//! [`outofcorebench`] the disk tier. Every artifact is written and read
+//! through the one [`json`] module.
 //!
 //! Besides the simulated in-process cluster, the harness can run real
-//! multi-process training over TCP loopback: [`launcher`] spawns one
-//! `sar-worker` OS process per rank, [`distrun`] is the per-rank
+//! multi-process training over TCP loopback: [`launcher::Cluster`]
+//! spawns one `sar-worker` OS process per rank, [`distrun`] is the per-rank
 //! lifecycle (rebuild state from flags → rendezvous → train → gather),
 //! and [`smoke`] holds the CI gate's workloads and ledger invariants,
 //! shared verbatim between both backends.
@@ -40,13 +44,13 @@
 //! The serving tier gets the same treatment: [`serverun`] is the
 //! per-rank lifecycle of a resident `sar-serve` cluster (rebuild state →
 //! load checkpoint → rendezvous → front-end/worker loop), and
-//! [`servebench`] drives it with a closed-loop client load, writing the
-//! committed, CI-gated `BENCH_serve.json` latency/throughput artifact
-//! (`repro servebench`).
+//! [`servebench`] drives it with a closed-loop client load.
 
 pub mod compressbench;
 pub mod distrun;
 pub mod experiments;
+pub mod harness;
+pub mod json;
 pub mod kernelbench;
 pub mod launcher;
 pub mod outofcorebench;

@@ -29,21 +29,17 @@
 //! spill/fault engagement, memory flatness and digest parity.
 
 use std::collections::VecDeque;
-use std::path::Path;
 
+use sar_comm::CostModel;
 use sar_core::plan::{self, FetchStep};
 use sar_tensor::tier::TieredStore;
 use sar_tensor::{MemoryTracker, Tensor};
 
 use crate::compressbench::fingerprint;
-use crate::kernelbench::{parse_json, JsonValue};
-use crate::report::RunReport;
-use crate::{launcher, smoke};
-
-/// Schema tag written into (and required from) `BENCH_outofcore.json`.
-/// Bump whenever the sweep shape, the parity grid or the field layout
-/// change; the gate refuses to compare across schema versions.
-pub const SCHEMA: &str = "sar-outofcorebench/v1";
+use crate::harness::{runs_by_key, Bench};
+use crate::json::{Obj, Value};
+use crate::report::{RunReport, Table};
+use crate::smoke;
 
 /// How far the largest sweep scale's peak resident bytes may exceed the
 /// smallest scale's before the gate fails. The working set is
@@ -53,55 +49,24 @@ pub const FLATNESS: f64 = 1.25;
 
 /// Epochs of rotation sweeps per scale.
 const SWEEP_EPOCHS: usize = 2;
-
-/// The benchmark workload: everything needed to rebuild every run
-/// deterministically.
-#[derive(Debug, Clone)]
-pub struct OocBenchConfig {
-    /// Rows of the synthetic feature matrix at scale 1.
-    pub base_rows: usize,
-    /// Feature width of the synthetic matrix.
-    pub feat_dim: usize,
-    /// Resident-tensor budget (bytes) for the sweep's tiered store.
-    pub budget_bytes: u64,
-    /// Depth of the staging pipeline the sweep faults through.
-    pub prefetch_depth: usize,
-    /// Row multipliers swept (peak memory must stay flat across them).
-    pub scales: Vec<usize>,
-    /// Cluster size for the parity training runs.
-    pub world: usize,
-    /// Synthetic dataset node count for the parity training runs.
-    pub nodes: usize,
-    /// `--mem-budget` for the budgeted parity runs (bytes). Tight enough
-    /// that both the stale cache blocks (tens of KiB each) and the GAT
-    /// rematerialization inputs (a few KiB per layer) must spill.
-    pub train_budget: u64,
-    /// Seed for the parity workloads.
-    pub seed: u64,
-    /// Transports the parity grid runs (`"sim"`, `"tcp"`).
-    pub transports: Vec<String>,
-    /// Trim the sweep and skip the TCP parity cells for local iteration
-    /// (the committed artifact is always generated at full scale).
-    pub quick: bool,
-}
-
-impl Default for OocBenchConfig {
-    fn default() -> Self {
-        OocBenchConfig {
-            base_rows: 2048,
-            feat_dim: 64,
-            budget_bytes: 96 * 1024,
-            prefetch_depth: 2,
-            scales: vec![1, 2, 4, 8],
-            world: 4,
-            nodes: 1200,
-            train_budget: 8 * 1024,
-            seed: 0,
-            transports: vec!["sim".into(), "tcp".into()],
-            quick: false,
-        }
-    }
-}
+/// Rows of the synthetic feature matrix at scale 1.
+const BASE_ROWS: usize = 2048;
+/// Feature width of the synthetic matrix.
+const FEAT_DIM: usize = 64;
+/// Resident-tensor budget (bytes) for the sweep's tiered store.
+const BUDGET_BYTES: u64 = 96 * 1024;
+/// Depth of the staging pipeline the sweep faults through.
+const PREFETCH_DEPTH: usize = 2;
+/// Row multipliers swept (peak memory must stay flat across them).
+const SCALES: [usize; 4] = [1, 2, 4, 8];
+/// Cluster size for the parity training runs.
+const WORLD: usize = 4;
+/// Synthetic dataset node count for the parity training runs.
+const NODES: usize = 1200;
+/// `--mem-budget` for the budgeted parity runs (bytes). Tight enough
+/// that both the stale cache blocks (tens of KiB each) and the GAT
+/// rematerialization inputs (a few KiB per layer) must spill.
+const TRAIN_BUDGET: u64 = 8 * 1024;
 
 /// One sweep scale's measured run.
 #[derive(Debug, Clone)]
@@ -155,17 +120,9 @@ pub struct ParityRun {
     pub fault_bytes: u64,
 }
 
-/// A full outofcorebench run: the workload identity plus results.
+/// A full outofcorebench run.
 #[derive(Debug, Clone)]
 pub struct OocBenchReport {
-    /// Sweep matrix rows at scale 1.
-    pub base_rows: usize,
-    /// Sweep matrix feature width.
-    pub feat_dim: usize,
-    /// Sweep store budget (bytes).
-    pub budget_bytes: u64,
-    /// Sweep staging depth.
-    pub prefetch_depth: usize,
     /// Per-scale sweep runs, ascending scale.
     pub sweep: Vec<SweepRun>,
     /// Parity grid results, sim first, then tcp.
@@ -257,25 +214,24 @@ fn sweep_store(
 
 /// Runs one sweep scale: the budgeted store (measured) and the unbounded
 /// baseline (digest only).
-fn run_scale(cfg: &OocBenchConfig, scale: usize) -> Result<SweepRun, String> {
-    let f = cfg.feat_dim;
-    let k = cfg.prefetch_depth;
+fn run_scale(scale: usize) -> Result<SweepRun, String> {
+    let (f, k) = (FEAT_DIM, PREFETCH_DEPTH);
     // Fit (k+2) staged chunks plus headroom for the accumulator and the
     // in-flight copy inside the budget, so the working set is
     // budget-derived and independent of the matrix size.
-    let chunk_rows = ((cfg.budget_bytes as usize / (4 * f)) / (k + 4)).max(1);
-    let rows = cfg.base_rows * scale;
+    let chunk_rows = ((BUDGET_BYTES as usize / (4 * f)) / (k + 4)).max(1);
+    let rows = BASE_ROWS * scale;
     let chunks = rows.div_ceil(chunk_rows);
     eprintln!(
         "[outofcorebench] sweep: scale {scale} — {rows} x {f} rows in {chunks} chunks, \
          budget {} KiB, depth {k} ...",
-        cfg.budget_bytes / 1024
+        BUDGET_BYTES / 1024
     );
     let start = std::time::Instant::now();
     let _ = sar_tensor::tier::take_tier_counters();
     MemoryTracker::reset_peak();
     let before = MemoryTracker::stats().current_bytes;
-    let digest = sweep_store(rows, f, chunk_rows, k, cfg.budget_bytes)?;
+    let digest = sweep_store(rows, f, chunk_rows, k, BUDGET_BYTES)?;
     let peak = MemoryTracker::stats().peak_bytes.saturating_sub(before) as u64;
     let (spill_bytes, fault_bytes, _) = sar_tensor::tier::take_tier_counters();
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -306,37 +262,11 @@ type Cell = (&'static str, usize, usize);
 
 /// The simulated-transport parity grid. GAT everywhere — its saved
 /// softmax statistics are the rematerialization inputs that spill.
-#[must_use]
-pub fn sim_grid(quick: bool) -> Vec<Cell> {
-    let mut g = vec![("stale:2", 1, 0), ("exact", 1, 2)];
-    if !quick {
-        g.push(("stale:2", 2, 2));
-    }
-    g
-}
+const SIM_GRID: [Cell; 3] = [("stale:2", 1, 0), ("exact", 1, 2), ("stale:2", 2, 2)];
 
-/// The TCP subset: one stale cell pins the multi-process path; the full
-/// run adds an exact/threaded cell.
-#[must_use]
-pub fn tcp_grid(quick: bool) -> Vec<Cell> {
-    if quick {
-        return Vec::new();
-    }
-    vec![("stale:2", 1, 2), ("exact", 2, 0)]
-}
-
-fn cell_workload(
-    cfg: &OocBenchConfig,
-    (protocol, threads, depth): Cell,
-    budget: u64,
-) -> Result<crate::distrun::Workload, String> {
-    let mut wl = smoke::workload("gat", cfg.nodes, cfg.seed)?;
-    wl.protocol = protocol.to_string();
-    wl.threads = threads;
-    wl.prefetch_depth = depth;
-    wl.mem_budget = budget;
-    Ok(wl)
-}
+/// The TCP subset: a stale cell pins the multi-process path, an
+/// exact/threaded cell the remat spill.
+const TCP_GRID: [Cell; 2] = [("stale:2", 1, 2), ("exact", 2, 0)];
 
 /// Sums a phase counter over every rank and phase row of a report.
 fn report_sum(report: &RunReport, pick: impl Fn(&crate::report::PhaseRow) -> u64) -> u64 {
@@ -348,288 +278,42 @@ fn report_sum(report: &RunReport, pick: impl Fn(&crate::report::PhaseRow) -> u64
         .sum()
 }
 
-fn run_parity_sim(cfg: &OocBenchConfig, cell: Cell) -> Result<ParityRun, String> {
+/// Trains one parity cell on `transport` with `--mem-budget` on, then
+/// off, and records both digests.
+fn run_parity(transport: &str, cell: Cell) -> Result<ParityRun, String> {
     let (protocol, threads, depth) = cell;
     let mut digests = Vec::new();
-    let mut spill = 0;
-    let mut fault = 0;
-    for budget in [cfg.train_budget, 0] {
-        let wl = cell_workload(cfg, cell, budget)?;
-        let (dataset, part) = wl.build_data(cfg.world)?;
-        let tcfg = wl.train_config(&dataset)?;
+    let (mut spill, mut fault) = (0, 0);
+    for budget in [TRAIN_BUDGET, 0] {
+        let mut wl = smoke::workload("gat", NODES, 0)?;
+        wl.protocol = protocol.to_string();
+        wl.threads = threads;
+        wl.prefetch_depth = depth;
+        wl.mem_budget = budget;
         eprintln!(
-            "[outofcorebench] sim parity: gat protocol={protocol} threads={threads} \
+            "[outofcorebench] {transport} parity: gat protocol={protocol} threads={threads} \
              depth={depth} mem-budget={budget} ..."
         );
-        let run = sar_core::train(&dataset, &part, sar_comm::CostModel::default(), &tcfg);
-        let report = RunReport::from_train("outofcorebench", "gat", &wl.mode, &run);
+        let experiment = format!("outofcorebench-{protocol}-b{budget}");
+        let (report, digest) =
+            smoke::train(transport, &wl, WORLD, &experiment, CostModel::default())
+                .map_err(|e| format!("{transport} {protocol}/t{threads}/d{depth}: {e}"))?;
         if budget > 0 {
             spill = report_sum(&report, |p| p.spill_bytes);
             fault = report_sum(&report, |p| p.fault_bytes);
         }
-        digests.push(fingerprint(&report.parity_digest()));
+        digests.push(fingerprint(&digest));
     }
     Ok(ParityRun {
-        transport: "sim".into(),
+        transport: transport.into(),
         protocol: protocol.into(),
         threads,
         prefetch_depth: depth,
-        budget_bytes: cfg.train_budget,
+        budget_bytes: TRAIN_BUDGET,
         digest_budget: digests[0].clone(),
         digest_unbounded: digests[1].clone(),
         spill_bytes: spill,
         fault_bytes: fault,
-    })
-}
-
-/// Sums one numeric field over every rank's phase rows of a gathered
-/// `RunReport` JSON document.
-fn json_phase_sum(doc: &JsonValue, key: &str) -> u64 {
-    doc.get("workers")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-        .iter()
-        .flat_map(|w| w.get("phases").and_then(JsonValue::arr).unwrap_or_default())
-        .filter_map(|row| row.get(key).and_then(JsonValue::num))
-        .map(|v| v as u64)
-        .sum()
-}
-
-fn run_parity_tcp(exe: &Path, cfg: &OocBenchConfig, cell: Cell) -> Result<ParityRun, String> {
-    let (protocol, threads, depth) = cell;
-    let mut digests = Vec::new();
-    let mut spill = 0;
-    let mut fault = 0;
-    for budget in [cfg.train_budget, 0] {
-        let wl = cell_workload(cfg, cell, budget)?;
-        let uniq = format!(
-            "{}-{}-t{threads}-d{depth}-b{budget}",
-            std::process::id(),
-            protocol.replace(':', "-")
-        );
-        let out = std::env::temp_dir().join(format!("sar-oocbench-{uniq}.json"));
-        let digest_path = std::env::temp_dir().join(format!("sar-oocbench-{uniq}.digest"));
-        let mut args = wl.to_args();
-        args.extend([
-            "--experiment".to_string(),
-            format!("outofcorebench-{protocol}-b{budget}"),
-            "--out".to_string(),
-            out.display().to_string(),
-            "--digest-out".to_string(),
-            digest_path.display().to_string(),
-        ]);
-        eprintln!(
-            "[outofcorebench] tcp parity: gat protocol={protocol} threads={threads} \
-             depth={depth} mem-budget={budget} ..."
-        );
-        let result = (|| -> Result<(), String> {
-            launcher::spawn_ranks(exe, cfg.world, &args)?;
-            let d = std::fs::read_to_string(&digest_path)
-                .map_err(|e| format!("rank 0 wrote no digest at {}: {e}", digest_path.display()))?;
-            digests.push(fingerprint(&d));
-            if budget > 0 {
-                let text = std::fs::read_to_string(&out)
-                    .map_err(|e| format!("rank 0 wrote no report at {}: {e}", out.display()))?;
-                let doc = parse_json(&text).map_err(|e| format!("gathered report: {e}"))?;
-                spill = json_phase_sum(&doc, "spill_bytes");
-                fault = json_phase_sum(&doc, "fault_bytes");
-            }
-            Ok(())
-        })();
-        let _ = std::fs::remove_file(&out);
-        let _ = std::fs::remove_file(&digest_path);
-        result.map_err(|e| format!("{protocol}/t{threads}/d{depth}: {e}"))?;
-    }
-    Ok(ParityRun {
-        transport: "tcp".into(),
-        protocol: protocol.into(),
-        threads,
-        prefetch_depth: depth,
-        budget_bytes: cfg.train_budget,
-        digest_budget: digests[0].clone(),
-        digest_unbounded: digests[1].clone(),
-        spill_bytes: spill,
-        fault_bytes: fault,
-    })
-}
-
-/// Runs the full benchmark: the memory-flatness sweep, then the parity
-/// grid (sim in-process, the TCP subset as real OS processes).
-///
-/// # Errors
-///
-/// Propagates store, workload, spawn and report-parsing failures, naming
-/// the scale or grid cell.
-pub fn run_oocbench(cfg: &OocBenchConfig) -> Result<OocBenchReport, String> {
-    let scales: Vec<usize> = if cfg.quick {
-        cfg.scales
-            .iter()
-            .copied()
-            .filter(|&s| {
-                s == *cfg.scales.first().unwrap_or(&1) || s == *cfg.scales.last().unwrap_or(&1)
-            })
-            .collect()
-    } else {
-        cfg.scales.clone()
-    };
-    let mut sweep = Vec::new();
-    for scale in scales {
-        sweep.push(run_scale(cfg, scale).map_err(|e| format!("sweep scale {scale}: {e}"))?);
-    }
-    let mut parity = Vec::new();
-    if cfg.transports.iter().any(|t| t == "sim") {
-        for cell in sim_grid(cfg.quick) {
-            parity.push(run_parity_sim(cfg, cell)?);
-        }
-    }
-    if cfg.transports.iter().any(|t| t == "tcp") && !cfg.quick {
-        let exe = launcher::sibling_binary("sar-worker")?;
-        for cell in tcp_grid(cfg.quick) {
-            parity.push(run_parity_tcp(&exe, cfg, cell)?);
-        }
-    }
-    Ok(OocBenchReport {
-        base_rows: cfg.base_rows,
-        feat_dim: cfg.feat_dim,
-        budget_bytes: cfg.budget_bytes,
-        prefetch_depth: cfg.prefetch_depth,
-        sweep,
-        parity,
-    })
-}
-
-// ----------------------------------------------------------------------
-// Serialization
-// ----------------------------------------------------------------------
-
-impl OocBenchReport {
-    /// The report as the `BENCH_outofcore.json` document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"base_rows\": {},\n  \"feat_dim\": {},\n  \
-             \"budget_bytes\": {},\n  \"prefetch_depth\": {},\n  \"sweep\": [\n",
-            self.base_rows, self.feat_dim, self.budget_bytes, self.prefetch_depth
-        );
-        for (i, r) in self.sweep.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scale\": {}, \"rows\": {}, \"chunks\": {}, \"chunk_rows\": {}, \
-                 \"peak_resident_bytes\": {}, \"spill_bytes\": {}, \"fault_bytes\": {}, \
-                 \"digest\": \"{}\", \"unbounded_digest\": \"{}\", \"elapsed_ms\": {:.3}}}{}\n",
-                r.scale,
-                r.rows,
-                r.chunks,
-                r.chunk_rows,
-                r.peak_resident_bytes,
-                r.spill_bytes,
-                r.fault_bytes,
-                r.digest,
-                r.unbounded_digest,
-                r.elapsed_ms,
-                if i + 1 < self.sweep.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"parity\": [\n");
-        for (i, r) in self.parity.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"transport\": \"{}\", \"protocol\": \"{}\", \"threads\": {}, \
-                 \"prefetch_depth\": {}, \"budget_bytes\": {}, \"digest_budget\": \"{}\", \
-                 \"digest_unbounded\": \"{}\", \"spill_bytes\": {}, \"fault_bytes\": {}}}{}\n",
-                r.transport,
-                r.protocol,
-                r.threads,
-                r.prefetch_depth,
-                r.budget_bytes,
-                r.digest_budget,
-                r.digest_unbounded,
-                r.spill_bytes,
-                r.fault_bytes,
-                if i + 1 < self.parity.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes the JSON document to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the IO failure, naming the path.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
-    }
-}
-
-/// Parses a `BENCH_outofcore.json` document back into a report.
-///
-/// # Errors
-///
-/// Rejects malformed JSON or missing fields with a message naming the
-/// field.
-pub fn parse_report(text: &str) -> Result<OocBenchReport, String> {
-    let doc = parse_json(text)?;
-    let schema = doc.get("schema").and_then(JsonValue::str).unwrap_or("");
-    if schema != SCHEMA {
-        return Err(format!(
-            "schema mismatch: committed \"{schema}\", current \"{SCHEMA}\""
-        ));
-    }
-    let num = |v: &JsonValue, k: &str| -> Result<f64, String> {
-        v.get(k)
-            .and_then(JsonValue::num)
-            .ok_or_else(|| format!("missing field {k}"))
-    };
-    let st = |v: &JsonValue, k: &str| -> Result<String, String> {
-        v.get(k)
-            .and_then(JsonValue::str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing field {k}"))
-    };
-    let mut sweep = Vec::new();
-    for r in doc
-        .get("sweep")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-    {
-        sweep.push(SweepRun {
-            scale: num(r, "scale")? as usize,
-            rows: num(r, "rows")? as usize,
-            chunks: num(r, "chunks")? as usize,
-            chunk_rows: num(r, "chunk_rows")? as usize,
-            peak_resident_bytes: num(r, "peak_resident_bytes")? as u64,
-            spill_bytes: num(r, "spill_bytes")? as u64,
-            fault_bytes: num(r, "fault_bytes")? as u64,
-            digest: st(r, "digest")?,
-            unbounded_digest: st(r, "unbounded_digest")?,
-            elapsed_ms: num(r, "elapsed_ms")?,
-        });
-    }
-    let mut parity = Vec::new();
-    for r in doc
-        .get("parity")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default()
-    {
-        parity.push(ParityRun {
-            transport: st(r, "transport")?,
-            protocol: st(r, "protocol")?,
-            threads: num(r, "threads")? as usize,
-            prefetch_depth: num(r, "prefetch_depth")? as usize,
-            budget_bytes: num(r, "budget_bytes")? as u64,
-            digest_budget: st(r, "digest_budget")?,
-            digest_unbounded: st(r, "digest_unbounded")?,
-            spill_bytes: num(r, "spill_bytes")? as u64,
-            fault_bytes: num(r, "fault_bytes")? as u64,
-        });
-    }
-    Ok(OocBenchReport {
-        base_rows: num(&doc, "base_rows")? as usize,
-        feat_dim: num(&doc, "feat_dim")? as usize,
-        budget_bytes: num(&doc, "budget_bytes")? as u64,
-        prefetch_depth: num(&doc, "prefetch_depth")? as usize,
-        sweep,
-        parity,
     })
 }
 
@@ -637,216 +321,279 @@ pub fn parse_report(text: &str) -> Result<OocBenchReport, String> {
 // The gate
 // ----------------------------------------------------------------------
 
-/// Invariants a single report must satisfy on its own (applied to both
-/// the fresh and the committed copy).
-fn self_check(tag: &str, r: &OocBenchReport) -> Vec<String> {
+/// Invariants of one sweep record.
+fn sweep_violations(tag: &str, s: &Value) -> Result<Vec<String>, String> {
     let mut v = Vec::new();
-    if r.sweep.is_empty() {
-        v.push(format!("{tag}: empty sweep"));
-        return v;
-    }
-    for s in &r.sweep {
-        if s.digest != s.unbounded_digest {
-            v.push(format!(
-                "{tag}: sweep scale {} digest {} != unbounded {} — the disk round-trip \
-                 perturbed the result bits",
-                s.scale, s.digest, s.unbounded_digest
-            ));
-        }
-        if s.spill_bytes == 0 || s.fault_bytes == 0 {
-            v.push(format!(
-                "{tag}: sweep scale {} spilled {}B / faulted {}B — the budget never \
-                 engaged the disk tier",
-                s.scale, s.spill_bytes, s.fault_bytes
-            ));
-        }
-    }
-    let min_peak = r
-        .sweep
-        .iter()
-        .map(|s| s.peak_resident_bytes)
-        .min()
-        .unwrap_or(0);
-    let max_peak = r
-        .sweep
-        .iter()
-        .map(|s| s.peak_resident_bytes)
-        .max()
-        .unwrap_or(0);
-    let min_rows = r.sweep.iter().map(|s| s.rows).min().unwrap_or(0);
-    let max_rows = r.sweep.iter().map(|s| s.rows).max().unwrap_or(0);
-    if min_rows == 0 || max_rows < 4 * min_rows {
+    let scale = s.num_field("scale")?;
+    let (digest, unbounded) = (s.str_field("digest")?, s.str_field("unbounded_digest")?);
+    if digest != unbounded {
         v.push(format!(
-            "{tag}: sweep only spans {min_rows}..{max_rows} rows — the flatness claim \
-             needs at least 4x growth"
+            "{tag}: sweep scale {scale} digest {digest} != unbounded {unbounded} — the disk \
+             round-trip perturbed the result bits"
         ));
     }
-    if min_peak == 0 || max_peak as f64 > min_peak as f64 * FLATNESS {
+    let (spill, fault) = (s.num_field("spill_bytes")?, s.num_field("fault_bytes")?);
+    if spill == 0.0 || fault == 0.0 {
         v.push(format!(
-            "{tag}: peak resident bytes grew {min_peak} -> {max_peak} across the sweep \
-             (tolerance {FLATNESS}x) — out-of-core memory is not flat"
+            "{tag}: sweep scale {scale} spilled {spill}B / faulted {fault}B — the budget never \
+             engaged the disk tier"
         ));
     }
-    for p in &r.parity {
-        let cell = format!(
-            "{}/{} t{} d{}",
-            p.transport, p.protocol, p.threads, p.prefetch_depth
-        );
-        if p.digest_budget != p.digest_unbounded {
-            v.push(format!(
-                "{tag}: parity {cell}: budgeted digest {} != unbudgeted {} — spilling \
-                 changed training",
-                p.digest_budget, p.digest_unbounded
-            ));
-        }
-        if p.spill_bytes == 0 || p.fault_bytes == 0 {
-            v.push(format!(
-                "{tag}: parity {cell}: spilled {}B / faulted {}B under --mem-budget {} — \
-                 the budget never engaged the disk tier",
-                p.spill_bytes, p.fault_bytes, p.budget_bytes
-            ));
-        }
-    }
-    v
+    s.num_field("rows")?;
+    s.num_field("peak_resident_bytes")?;
+    Ok(v)
 }
 
-/// Diffs a fresh report against the committed artifact. Returns the
-/// violations found (empty = gate passes). Never compares timings.
-#[must_use]
-pub fn check_against(current: &OocBenchReport, committed_text: &str) -> Vec<String> {
-    let committed = match parse_report(committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![format!("committed artifact: {e}")],
-    };
+/// Invariants of one parity record.
+fn parity_violations(tag: &str, p: &Value) -> Result<Vec<String>, String> {
     let mut v = Vec::new();
-    if (
-        current.base_rows,
-        current.feat_dim,
-        current.budget_bytes,
-        current.prefetch_depth,
-    ) != (
-        committed.base_rows,
-        committed.feat_dim,
-        committed.budget_bytes,
-        committed.prefetch_depth,
-    ) {
-        v.push(
-            "sweep configuration differs from the committed artifact — regenerate it with \
-             `repro outofcorebench --out BENCH_outofcore.json`"
-                .into(),
-        );
-    }
-    let cur_set: Vec<_> = current
-        .sweep
-        .iter()
-        .map(|s| (s.scale, s.rows, s.chunks))
-        .collect();
-    let com_set: Vec<_> = committed
-        .sweep
-        .iter()
-        .map(|s| (s.scale, s.rows, s.chunks))
-        .collect();
-    if cur_set != com_set {
+    let cell = OutOfCoreBench::run_key("parity", p)?;
+    let (budget, unbounded) = (
+        p.str_field("digest_budget")?,
+        p.str_field("digest_unbounded")?,
+    );
+    if budget != unbounded {
         v.push(format!(
-            "sweep run set differs: current {cur_set:?} vs committed {com_set:?} — \
-             regenerate the artifact"
+            "{tag}: parity {cell}: budgeted digest {budget} != unbudgeted {unbounded} — \
+             spilling changed training"
         ));
-    } else {
-        // The sweep is pure integer-derived f32 arithmetic in a fixed
-        // order: its digest is machine-independent and must not drift.
-        for (c, k) in current.sweep.iter().zip(&committed.sweep) {
-            if c.digest != k.digest {
-                v.push(format!(
-                    "sweep scale {}: digest {} != committed {} — the accumulation is no \
-                     longer bitwise reproducible",
-                    c.scale, c.digest, k.digest
-                ));
+    }
+    let (spill, fault) = (p.num_field("spill_bytes")?, p.num_field("fault_bytes")?);
+    if spill == 0.0 || fault == 0.0 {
+        v.push(format!(
+            "{tag}: parity {cell}: spilled {spill}B / faulted {fault}B under --mem-budget {} — \
+             the budget never engaged the disk tier",
+            p.num_field("budget_bytes")?
+        ));
+    }
+    Ok(v)
+}
+
+/// `repro outofcorebench`: the memory-flatness sweep, then the parity
+/// grid (sim in-process, the TCP subset as real OS processes), gated on
+/// `BENCH_outofcore.json`. The gate never compares timings.
+pub struct OutOfCoreBench;
+
+impl Bench for OutOfCoreBench {
+    const NAME: &'static str = "outofcorebench";
+    const SCHEMA: &'static str = "sar-outofcorebench/v1";
+    const ARTIFACT: &'static str = "BENCH_outofcore.json";
+    const ARRAYS: &'static [&'static str] = &["sweep", "parity"];
+    type Report = OocBenchReport;
+
+    fn run() -> Result<OocBenchReport, String> {
+        let sweep = SCALES
+            .iter()
+            .map(|&scale| run_scale(scale).map_err(|e| format!("sweep scale {scale}: {e}")))
+            .collect::<Result<_, _>>()?;
+        let sim = SIM_GRID.iter().map(|&cell| run_parity("sim", cell));
+        let tcp = TCP_GRID.iter().map(|&cell| run_parity("tcp", cell));
+        Ok(OocBenchReport {
+            sweep,
+            parity: sim.chain(tcp).collect::<Result<_, _>>()?,
+        })
+    }
+
+    fn header(_r: &OocBenchReport) -> Vec<(&'static str, String)> {
+        vec![
+            ("base_rows", BASE_ROWS.to_string()),
+            ("feat_dim", FEAT_DIM.to_string()),
+            ("budget_bytes", BUDGET_BYTES.to_string()),
+            ("prefetch_depth", PREFETCH_DEPTH.to_string()),
+        ]
+    }
+
+    fn records(r: &OocBenchReport) -> Vec<Vec<String>> {
+        let sweep = r.sweep.iter().map(|s| {
+            Obj::new()
+                .raw("scale", s.scale)
+                .raw("rows", s.rows)
+                .raw("chunks", s.chunks)
+                .raw("chunk_rows", s.chunk_rows)
+                .raw("peak_resident_bytes", s.peak_resident_bytes)
+                .raw("spill_bytes", s.spill_bytes)
+                .raw("fault_bytes", s.fault_bytes)
+                .str("digest", &s.digest)
+                .str("unbounded_digest", &s.unbounded_digest)
+                .num("elapsed_ms", s.elapsed_ms, 3)
+                .finish()
+        });
+        let parity = r.parity.iter().map(|p| {
+            Obj::new()
+                .str("transport", &p.transport)
+                .str("protocol", &p.protocol)
+                .raw("threads", p.threads)
+                .raw("prefetch_depth", p.prefetch_depth)
+                .raw("budget_bytes", p.budget_bytes)
+                .str("digest_budget", &p.digest_budget)
+                .str("digest_unbounded", &p.digest_unbounded)
+                .raw("spill_bytes", p.spill_bytes)
+                .raw("fault_bytes", p.fault_bytes)
+                .finish()
+        });
+        vec![sweep.collect(), parity.collect()]
+    }
+
+    fn tables(report: &OocBenchReport) -> Vec<Table> {
+        let kib = |b: u64| format!("{:.1}", b as f64 / 1024.0);
+        let mut sweep = Table::new(
+            format!(
+                "outofcorebench sweep — budget {} KiB, depth {PREFETCH_DEPTH}",
+                BUDGET_BYTES / 1024
+            ),
+            &[
+                "scale",
+                "rows",
+                "chunks",
+                "peak KiB",
+                "spill KiB",
+                "fault KiB",
+                "parity",
+                "ms",
+            ],
+        );
+        for s in &report.sweep {
+            sweep.row(vec![
+                s.scale.to_string(),
+                s.rows.to_string(),
+                s.chunks.to_string(),
+                kib(s.peak_resident_bytes),
+                kib(s.spill_bytes),
+                kib(s.fault_bytes),
+                (s.digest == s.unbounded_digest).to_string(),
+                format!("{:.1}", s.elapsed_ms),
+            ]);
+        }
+        let mut parity = Table::new(
+            "outofcorebench parity — --mem-budget on vs off",
+            &[
+                "transport",
+                "protocol",
+                "threads",
+                "depth",
+                "spill KiB",
+                "fault KiB",
+                "parity",
+            ],
+        );
+        for p in &report.parity {
+            parity.row(vec![
+                p.transport.clone(),
+                p.protocol.clone(),
+                p.threads.to_string(),
+                p.prefetch_depth.to_string(),
+                kib(p.spill_bytes),
+                kib(p.fault_bytes),
+                (p.digest_budget == p.digest_unbounded).to_string(),
+            ]);
+        }
+        vec![sweep, parity]
+    }
+
+    fn run_key(array: &str, run: &Value) -> Result<String, String> {
+        if array == "sweep" {
+            Ok(format!(
+                "scale {}/rows {}/chunks {}",
+                run.num_field("scale")?,
+                run.num_field("rows")?,
+                run.num_field("chunks")?
+            ))
+        } else {
+            Ok(format!(
+                "{}/{} t{} d{}",
+                run.str_field("transport")?,
+                run.str_field("protocol")?,
+                run.num_field("threads")?,
+                run.num_field("prefetch_depth")?
+            ))
+        }
+    }
+
+    fn invariants(tag: &str, doc: &Value) -> Vec<String> {
+        let mut v = Vec::new();
+        let sweep = doc.items("sweep");
+        let records = sweep.iter().map(|s| sweep_violations(tag, s));
+        let records = records.chain(
+            doc.items("parity")
+                .iter()
+                .map(|p| parity_violations(tag, p)),
+        );
+        for found in records {
+            match found {
+                Ok(found) => v.extend(found),
+                Err(e) => v.push(format!("{tag}: {e}")),
             }
         }
+        if sweep.is_empty() {
+            v.push(format!("{tag}: empty sweep"));
+            return v;
+        }
+        let range = |k: &str| {
+            let xs = sweep.iter().filter_map(|s| s.get(k).and_then(Value::num));
+            xs.fold((f64::INFINITY, 0f64), |(lo, hi), x| (lo.min(x), hi.max(x)))
+        };
+        let (min_rows, max_rows) = range("rows");
+        let (min_peak, max_peak) = range("peak_resident_bytes");
+        if min_rows == 0.0 || max_rows < 4.0 * min_rows {
+            v.push(format!(
+                "{tag}: sweep only spans {min_rows}..{max_rows} rows — the flatness claim \
+                 needs at least 4x growth"
+            ));
+        }
+        if min_peak == 0.0 || max_peak > min_peak * FLATNESS {
+            v.push(format!(
+                "{tag}: peak resident bytes grew {min_peak} -> {max_peak} across the sweep \
+                 (tolerance {FLATNESS}x) — out-of-core memory is not flat"
+            ));
+        }
+        v
     }
-    let cell = |p: &ParityRun| {
-        (
-            p.transport.clone(),
-            p.protocol.clone(),
-            p.threads,
-            p.prefetch_depth,
-        )
-    };
-    let cur_cells: Vec<_> = current.parity.iter().map(cell).collect();
-    let com_cells: Vec<_> = committed.parity.iter().map(cell).collect();
-    if cur_cells != com_cells {
-        v.push(format!(
-            "parity run set differs: current {cur_cells:?} vs committed {com_cells:?} — \
-             regenerate the artifact"
-        ));
-    }
-    v.extend(self_check("current", current));
-    v.extend(self_check("committed", &committed));
-    v
-}
 
-/// Prints the human-readable summary tables.
-pub fn print_table(report: &OocBenchReport) {
-    use crate::report::Table;
-    let mut t = Table::new(
-        format!(
-            "outofcorebench sweep — budget {} KiB, depth {}",
-            report.budget_bytes / 1024,
-            report.prefetch_depth
-        ),
-        &[
-            "scale",
-            "rows",
-            "chunks",
-            "peak KiB",
-            "spill KiB",
-            "fault KiB",
-            "parity",
-            "ms",
-        ],
-    );
-    for s in &report.sweep {
-        t.row(vec![
-            s.scale.to_string(),
-            s.rows.to_string(),
-            s.chunks.to_string(),
-            format!("{:.1}", s.peak_resident_bytes as f64 / 1024.0),
-            format!("{:.1}", s.spill_bytes as f64 / 1024.0),
-            format!("{:.1}", s.fault_bytes as f64 / 1024.0),
-            (s.digest == s.unbounded_digest).to_string(),
-            format!("{:.1}", s.elapsed_ms),
-        ]);
+    fn compare(current: &Value, committed: &Value) -> Vec<String> {
+        let mut v = Vec::new();
+        let config = |doc: &Value| {
+            ["base_rows", "feat_dim", "budget_bytes", "prefetch_depth"]
+                .map(|k| doc.get(k).and_then(Value::num))
+        };
+        if config(current) != config(committed) {
+            v.push(
+                "sweep configuration differs from the committed artifact — regenerate it with \
+                 `repro outofcorebench --out BENCH_outofcore.json`"
+                    .into(),
+            );
+        }
+        // The sweep is pure integer-derived f32 arithmetic in a fixed
+        // order: its digest is machine-independent and must not drift.
+        let key = |s: &Value| Self::run_key("sweep", s);
+        let digest = |s: &Value| {
+            s.get("digest")
+                .and_then(Value::str)
+                .unwrap_or("?")
+                .to_string()
+        };
+        if let (Ok(cur), Ok(com)) = (
+            runs_by_key("current", current, "sweep", key),
+            runs_by_key("committed", committed, "sweep", key),
+        ) {
+            for (k, c) in &cur {
+                if let Some(base) = com.get(k).filter(|base| digest(base) != digest(c)) {
+                    v.push(format!(
+                        "sweep {k}: digest {} != committed {} — the accumulation is no \
+                         longer bitwise reproducible",
+                        digest(c),
+                        digest(base)
+                    ));
+                }
+            }
+        }
+        v
     }
-    t.print();
-    let mut t = Table::new(
-        "outofcorebench parity — --mem-budget on vs off".to_string(),
-        &[
-            "transport",
-            "protocol",
-            "threads",
-            "depth",
-            "spill KiB",
-            "fault KiB",
-            "parity",
-        ],
-    );
-    for p in &report.parity {
-        t.row(vec![
-            p.transport.clone(),
-            p.protocol.clone(),
-            p.threads.to_string(),
-            p.prefetch_depth.to_string(),
-            format!("{:.1}", p.spill_bytes as f64 / 1024.0),
-            format!("{:.1}", p.fault_bytes as f64 / 1024.0),
-            (p.digest_budget == p.digest_unbounded).to_string(),
-        ]);
-    }
-    t.print();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{check, to_json};
 
     fn sample_sweep(scale: usize, peak: u64) -> SweepRun {
         SweepRun {
@@ -879,10 +626,6 @@ mod tests {
 
     fn sample_report() -> OocBenchReport {
         OocBenchReport {
-            base_rows: 2048,
-            feat_dim: 64,
-            budget_bytes: 96 * 1024,
-            prefetch_depth: 2,
             sweep: vec![
                 sample_sweep(1, 100_000),
                 sample_sweep(2, 101_000),
@@ -893,28 +636,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_json_round_trips() {
-        let r = sample_report();
-        let parsed = parse_report(&r.to_json()).unwrap();
-        assert_eq!(parsed.sweep.len(), 4);
-        assert_eq!(parsed.sweep[3].rows, 2048 * 8);
-        assert_eq!(parsed.sweep[0].digest, r.sweep[0].digest);
-        assert_eq!(parsed.parity[0].protocol, "stale:2");
-        assert_eq!(parsed.parity[0].spill_bytes, 123_456);
+    fn json(r: &OocBenchReport) -> String {
+        to_json::<OutOfCoreBench>(r)
     }
 
-    #[test]
-    fn clean_report_passes_its_own_gate() {
-        let r = sample_report();
-        assert_eq!(check_against(&r, &r.to_json()), Vec::<String>::new());
+    fn gate(current: &OocBenchReport, committed: &OocBenchReport) -> Vec<String> {
+        check::<OutOfCoreBench>(&json(current), &json(committed))
     }
 
     #[test]
     fn memory_growth_fails_the_flatness_gate() {
         let mut r = sample_report();
         r.sweep[3].peak_resident_bytes = 200_000;
-        let v = check_against(&r, &r.to_json());
+        let v = gate(&r, &r);
         assert!(v.iter().any(|m| m.contains("not flat")), "{v:?}");
     }
 
@@ -922,11 +656,11 @@ mod tests {
     fn digest_divergence_fails_the_gate() {
         let mut r = sample_report();
         r.sweep[1].unbounded_digest = "ffffffffffffffff".into();
-        let v = check_against(&r, &sample_report().to_json());
+        let v = gate(&r, &sample_report());
         assert!(v.iter().any(|m| m.contains("perturbed")), "{v:?}");
         let mut r = sample_report();
         r.parity[0].digest_unbounded = "ffffffffffffffff".into();
-        let v = check_against(&r, &sample_report().to_json());
+        let v = gate(&r, &sample_report());
         assert!(v.iter().any(|m| m.contains("changed training")), "{v:?}");
     }
 
@@ -934,30 +668,34 @@ mod tests {
     fn idle_tier_fails_the_engagement_gate() {
         let mut r = sample_report();
         r.sweep[0].spill_bytes = 0;
-        let v = check_against(&r, &sample_report().to_json());
+        let v = gate(&r, &sample_report());
         assert!(v.iter().any(|m| m.contains("never engaged")), "{v:?}");
         let mut r = sample_report();
         r.parity[0].fault_bytes = 0;
-        let v = check_against(&r, &sample_report().to_json());
+        let v = gate(&r, &sample_report());
         assert!(v.iter().any(|m| m.contains("never engaged")), "{v:?}");
     }
 
     #[test]
-    fn stale_artifact_fails_on_run_set_and_schema() {
+    fn stale_artifact_fails_on_run_set_and_config() {
         let r = sample_report();
         let mut fewer = r.clone();
         fewer.sweep.pop();
-        let v = check_against(&fewer, &r.to_json());
-        assert!(v.iter().any(|m| m.contains("run set differs")), "{v:?}");
-        let stale = r.to_json().replace(SCHEMA, "sar-outofcorebench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
+        let v = gate(&fewer, &r);
+        assert!(v.iter().any(|m| m.contains("not produced")), "{v:?}");
+        let other_budget = json(&r).replace("\"budget_bytes\": 98304", "\"budget_bytes\": 1");
+        let v = check::<OutOfCoreBench>(&json(&r), &other_budget);
+        assert!(
+            v.iter().any(|m| m.contains("configuration differs")),
+            "{v:?}"
+        );
     }
 
     #[test]
     fn insufficient_scale_growth_fails_the_gate() {
         let mut r = sample_report();
         r.sweep.truncate(2); // 1x..2x only
-        let v = check_against(&r, &r.to_json());
+        let v = gate(&r, &r);
         assert!(v.iter().any(|m| m.contains("4x growth")), "{v:?}");
     }
 
@@ -966,7 +704,7 @@ mod tests {
         let mut fresh = sample_report();
         fresh.sweep[2].digest = "1111111111111111".into();
         fresh.sweep[2].unbounded_digest = "1111111111111111".into();
-        let v = check_against(&fresh, &sample_report().to_json());
+        let v = gate(&fresh, &sample_report());
         assert!(
             v.iter()
                 .any(|m| m.contains("no longer bitwise reproducible")),
@@ -987,11 +725,9 @@ mod tests {
 
     #[test]
     fn grids_cover_both_protocol_families() {
-        let sim = sim_grid(false);
-        assert!(sim.iter().any(|(p, _, _)| p.starts_with("stale")));
-        assert!(sim.iter().any(|(p, _, _)| *p == "exact"));
-        assert!(!tcp_grid(false).is_empty());
-        assert!(tcp_grid(true).is_empty());
-        assert!(sim_grid(true).len() < sim.len());
+        for grid in [&SIM_GRID[..], &TCP_GRID[..]] {
+            assert!(grid.iter().any(|(p, _, _)| p.starts_with("stale")));
+            assert!(grid.iter().any(|(p, _, _)| *p == "exact"));
+        }
     }
 }

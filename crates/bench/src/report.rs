@@ -3,15 +3,16 @@
 //! [`Table`] renders the paper's tables/figures for human eyes;
 //! [`RunReport`] serializes a full training run — per-worker, per-layer,
 //! per-phase timings, communication volumes and tensor-memory peaks — to
-//! JSON so CI can archive and gate on it. The JSON is hand-rolled (the
-//! build environment is offline, so no serde); the schema is documented
-//! on [`RunReport::to_json`].
+//! JSON so CI can archive and gate on it. The JSON goes through
+//! [`crate::json`]; the schema is documented on [`RunReport::to_json`].
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 use sar_comm::Phase;
+
+use crate::json::{self, Value};
 
 /// A printable result table.
 #[derive(Debug, Clone)]
@@ -326,26 +327,26 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"experiment\": {},", json_str(&self.experiment));
-        let _ = writeln!(s, "  \"arch\": {},", json_str(&self.arch));
-        let _ = writeln!(s, "  \"mode\": {},", json_str(&self.mode));
+        let _ = writeln!(s, "  \"experiment\": {},", json::string(&self.experiment));
+        let _ = writeln!(s, "  \"arch\": {},", json::string(&self.arch));
+        let _ = writeln!(s, "  \"mode\": {},", json::string(&self.mode));
         let _ = writeln!(s, "  \"world\": {},", self.world);
         let _ = writeln!(
             s,
             "  \"losses\": [{}],",
-            join(self.losses.iter().map(|&l| json_f64(l as f64)))
+            join(self.losses.iter().map(|&l| json::float(l as f64)))
         );
         let _ = writeln!(
             s,
             "  \"epoch_times_secs\": [{}],",
-            join(self.epoch_times.iter().map(|&t| json_f64(t)))
+            join(self.epoch_times.iter().map(|&t| json::float(t)))
         );
-        let _ = writeln!(s, "  \"val_acc\": {},", json_f64(self.val_acc));
-        let _ = writeln!(s, "  \"test_acc\": {},", json_f64(self.test_acc));
+        let _ = writeln!(s, "  \"val_acc\": {},", json::float(self.val_acc));
+        let _ = writeln!(s, "  \"test_acc\": {},", json::float(self.test_acc));
         let _ = writeln!(
             s,
             "  \"test_acc_cs\": {},",
-            self.test_acc_cs.map_or("null".into(), json_f64)
+            self.test_acc_cs.map_or("null".into(), json::float)
         );
         match &self.buffer_pool {
             Some(p) => {
@@ -371,7 +372,7 @@ impl RunReport {
                 w.steady_peak_bytes,
                 w.total_sent_bytes,
                 w.total_recv_bytes,
-                json_f64(w.comm_us)
+                json::float(w.comm_us)
             );
             s.push_str("\n     \"phases\": [");
             for (j, r) in w.phases.iter().enumerate() {
@@ -388,7 +389,7 @@ impl RunReport {
                      \"blocked_us\": {}, \"peak_tensor_bytes\": {}, \
                      \"spill_bytes\": {}, \"fault_bytes\": {}, \
                      \"disk_blocked_us\": {}}}",
-                    json_str(r.phase),
+                    json::string(r.phase),
                     r.layer.map_or("null".to_string(), |l| l.to_string()),
                     r.sent_bytes,
                     r.recv_bytes,
@@ -396,14 +397,14 @@ impl RunReport {
                     r.wire_recv_bytes,
                     r.sent_messages,
                     r.recv_messages,
-                    json_f64(r.comm_us),
-                    json_f64(r.cpu_us),
-                    json_f64(r.wall_us),
-                    json_f64(r.blocked_us),
+                    json::float(r.comm_us),
+                    json::float(r.cpu_us),
+                    json::float(r.wall_us),
+                    json::float(r.blocked_us),
                     r.peak_tensor_bytes,
                     r.spill_bytes,
                     r.fault_bytes,
-                    json_f64(r.disk_blocked_us),
+                    json::float(r.disk_blocked_us),
                 );
             }
             s.push_str("]}");
@@ -424,6 +425,85 @@ impl RunReport {
     /// Propagates filesystem errors.
     pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
         std::fs::write(path, self.to_json())
+    }
+
+    /// Reads back a document written by [`RunReport::to_json`] — how the
+    /// report gathered by rank 0 of a multi-process run reaches the
+    /// launching process. `null` floats read back as NaN.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a missing field, or an unknown phase name.
+    pub fn from_json(text: &str) -> Result<RunReport, String> {
+        let doc = json::parse(text)?;
+        let float = |v: &Value, k: &str| v.get(k).and_then(Value::num).unwrap_or(f64::NAN);
+        let floats = |k: &str| doc.items(k).iter().map(|v| v.num().unwrap_or(f64::NAN));
+        let count = |v: &Value, k: &str| v.num_field(k).map(|n| n as u64);
+        let row = |r: &Value| -> Result<PhaseRow, String> {
+            let name = r.str_field("phase")?;
+            Ok(PhaseRow {
+                phase: Phase::ALL
+                    .iter()
+                    .map(|p| p.name())
+                    .find(|&p| p == name)
+                    .ok_or_else(|| format!("unknown phase \"{name}\""))?,
+                layer: r.get("layer").and_then(Value::num).map(|l| l as u16),
+                sent_bytes: count(r, "sent_bytes")?,
+                recv_bytes: count(r, "recv_bytes")?,
+                wire_sent_bytes: count(r, "wire_sent_bytes")?,
+                wire_recv_bytes: count(r, "wire_recv_bytes")?,
+                sent_messages: count(r, "sent_messages")?,
+                recv_messages: count(r, "recv_messages")?,
+                comm_us: float(r, "comm_us"),
+                cpu_us: float(r, "cpu_us"),
+                wall_us: float(r, "wall_us"),
+                blocked_us: float(r, "blocked_us"),
+                peak_tensor_bytes: count(r, "peak_tensor_bytes")?,
+                spill_bytes: count(r, "spill_bytes")?,
+                fault_bytes: count(r, "fault_bytes")?,
+                disk_blocked_us: float(r, "disk_blocked_us"),
+            })
+        };
+        let worker = |w: &Value| -> Result<WorkerProfile, String> {
+            Ok(WorkerProfile {
+                rank: count(w, "rank")? as usize,
+                steady_peak_bytes: count(w, "steady_peak_bytes")? as usize,
+                total_sent_bytes: count(w, "total_sent_bytes")?,
+                total_recv_bytes: count(w, "total_recv_bytes")?,
+                comm_us: float(w, "comm_us"),
+                phases: w
+                    .items("phases")
+                    .iter()
+                    .map(row)
+                    .collect::<Result<_, _>>()?,
+            })
+        };
+        let buffer_pool = match doc.get("buffer_pool") {
+            Some(p @ Value::Obj(_)) => Some(sar_comm::buffer::PoolStats {
+                hits: count(p, "hits")?,
+                misses: count(p, "misses")?,
+                recycles: count(p, "recycles")?,
+                recycle_drops: count(p, "recycle_drops")?,
+            }),
+            _ => None,
+        };
+        Ok(RunReport {
+            experiment: doc.str_field("experiment")?.to_string(),
+            arch: doc.str_field("arch")?.to_string(),
+            mode: doc.str_field("mode")?.to_string(),
+            world: count(&doc, "world")? as usize,
+            losses: floats("losses").map(|l| l as f32).collect(),
+            epoch_times: floats("epoch_times_secs").collect(),
+            val_acc: float(&doc, "val_acc"),
+            test_acc: float(&doc, "test_acc"),
+            test_acc_cs: doc.get("test_acc_cs").and_then(Value::num),
+            buffer_pool,
+            workers: doc
+                .items("workers")
+                .iter()
+                .map(worker)
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// A determinism digest of everything that must be bitwise identical
@@ -486,46 +566,15 @@ impl RunReport {
                 s,
                 "{{\"phase\": {}, \"wall_us\": {}, \"blocked_us\": {}, \
                  \"comm_us\": {}, \"cpu_us\": {}}}",
-                json_str(phase),
-                json_f64(*wall),
-                json_f64(*blocked),
-                json_f64(*comm),
-                json_f64(*cpu)
+                json::string(phase),
+                json::float(*wall),
+                json::float(*blocked),
+                json::float(*comm),
+                json::float(*cpu)
             );
         }
         s.push_str("]}");
         s
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as a JSON number (`null` for NaN/infinity — JSON has
-/// no non-finite literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 
@@ -631,6 +680,26 @@ mod tests {
         let count = |c: char| json.chars().filter(|&x| x == c).count();
         assert_eq!(count('{'), count('}'));
         assert_eq!(count('['), count(']'));
+    }
+
+    #[test]
+    fn json_reads_back_into_the_same_report() {
+        let r = sample_report();
+        let back = RunReport::from_json(&r.to_json()).unwrap();
+        assert_eq!(back.to_json(), r.to_json());
+        assert_eq!(back.overlap_json(), r.overlap_json());
+        assert!(back.losses[1].is_nan());
+        let no_pool = RunReport {
+            buffer_pool: None,
+            test_acc_cs: Some(0.5),
+            ..r
+        };
+        let back = RunReport::from_json(&no_pool.to_json()).unwrap();
+        assert_eq!(back.to_json(), no_pool.to_json());
+        let bad_phase = no_pool.to_json().replace("forward_fetch", "teleport");
+        assert!(RunReport::from_json(&bad_phase)
+            .unwrap_err()
+            .contains("teleport"));
     }
 
     #[test]

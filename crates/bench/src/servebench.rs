@@ -26,68 +26,36 @@
 //!   same batches would have fetched.
 
 use std::path::Path;
-use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sar_serve::ServeClient;
 
-use crate::kernelbench::{parse_json, JsonValue};
+use crate::distrun::Workload;
+use crate::harness::Bench;
+use crate::json::{Obj, Value};
+use crate::launcher::{self, Cluster, TempFiles};
+use crate::report::Table;
 
-/// Schema tag written into (and required from) `BENCH_serve.json`.
-/// Bump whenever the workload, the counters or the field layout change;
-/// the gate refuses to compare across schema versions.
-pub const SCHEMA: &str = "sar-servebench/v1";
-
-/// The benchmark workload: everything needed to rebuild the cluster and
-/// the client load deterministically.
-#[derive(Debug, Clone)]
-pub struct ServeBenchConfig {
-    /// Cluster size (OS processes).
-    pub world: usize,
-    /// Synthetic products-like node count.
-    pub nodes: usize,
-    /// Architectures to benchmark, one run per entry.
-    pub archs: Vec<String>,
-    /// Closed-loop client connections.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests: usize,
-    /// Node ids per query request.
-    pub ids_per_request: usize,
-    /// Front-end batch coalescing bound.
-    pub max_batch: usize,
-    /// Front-end batch coalescing delay, microseconds.
-    pub max_delay_us: u64,
-    /// Per-rank embedding-cache row budget.
-    pub cache_rows: usize,
-    /// Intra-rank kernel threads.
-    pub threads: usize,
-    /// SIMD dispatch mode the ranks run under.
-    pub simd: String,
-    /// Seed for the dataset, the parameters and the query streams.
-    pub seed: u64,
-}
-
-impl Default for ServeBenchConfig {
-    fn default() -> Self {
-        ServeBenchConfig {
-            world: 4,
-            nodes: 900,
-            archs: vec!["sage".into(), "gat".into()],
-            clients: 3,
-            requests: 20,
-            ids_per_request: 8,
-            max_batch: 16,
-            max_delay_us: 1_000,
-            cache_rows: 4096,
-            threads: 1,
-            simd: "auto".into(),
-            seed: 0,
-        }
-    }
-}
+/// Cluster size (OS processes).
+const WORLD: usize = 4;
+/// Synthetic products-like node count.
+const NODES: usize = 900;
+/// Architectures benchmarked, one run per entry.
+const ARCHS: [&str; 2] = ["sage", "gat"];
+/// Closed-loop client connections.
+const CLIENTS: usize = 3;
+/// Requests each client issues.
+const REQUESTS: usize = 20;
+/// Node ids per query request.
+const IDS_PER_REQUEST: usize = 8;
+/// Front-end batch coalescing bound.
+const MAX_BATCH: usize = 16;
+/// Front-end batch coalescing delay, microseconds.
+const MAX_DELAY_US: u64 = 1_000;
+/// Per-rank embedding-cache row budget.
+const CACHE_ROWS: usize = 4096;
 
 /// One architecture's measured serving run.
 #[derive(Debug, Clone)]
@@ -123,72 +91,9 @@ pub struct ServeRun {
     pub cache_misses: u64,
 }
 
-/// A full servebench run: the workload identity plus per-arch results.
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// Cluster size.
-    pub world: usize,
-    /// Dataset node count.
-    pub nodes: usize,
-    /// Kernel threads per rank.
-    pub threads: usize,
-    /// SIMD mode label the ranks ran under.
-    pub simd: String,
-    /// Per-architecture runs, in configured order.
-    pub runs: Vec<ServeRun>,
-}
-
 // ----------------------------------------------------------------------
 // Driving the cluster
 // ----------------------------------------------------------------------
-
-/// Spawns `world` `sar-serve` processes without waiting, so the caller
-/// can drive the front-end while they run. The rendezvous file is fresh
-/// per call; children inherit stdout/stderr.
-fn spawn_cluster(
-    exe: &Path,
-    world: usize,
-    common_args: &[String],
-    rendezvous: &Path,
-) -> Result<Vec<(usize, Child)>, String> {
-    let _ = std::fs::remove_file(rendezvous);
-    let mut children = Vec::with_capacity(world);
-    for rank in 0..world {
-        let mut cmd = Command::new(exe);
-        cmd.arg("--rank")
-            .arg(rank.to_string())
-            .arg("--world")
-            .arg(world.to_string())
-            .arg("--rendezvous-file")
-            .arg(rendezvous)
-            .args(common_args);
-        match cmd.spawn() {
-            Ok(child) => children.push((rank, child)),
-            Err(e) => {
-                // Reap whatever already started before reporting.
-                for (_, mut c) in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(format!("rank {rank}: spawn failed: {e}"));
-            }
-        }
-    }
-    Ok(children)
-}
-
-/// Waits for every child, collecting non-zero exits.
-fn wait_cluster(children: Vec<(usize, Child)>) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (rank, mut child) in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => failures.push(format!("rank {rank} exited with {status}")),
-            Err(e) => failures.push(format!("rank {rank}: wait failed: {e}")),
-        }
-    }
-    failures
-}
 
 /// The deterministic id stream one client queries: uniform over the
 /// node range, seeded per (run seed, client index) so re-runs replay
@@ -225,16 +130,12 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 /// latencies (microseconds), the load window in seconds (first connect
 /// to last answer — the stats/shutdown exchange is outside it), and the
 /// engine's final counters.
-fn drive_load(
-    addr: &str,
-    cfg: &ServeBenchConfig,
-) -> Result<(Vec<f64>, f64, sar_serve::StatsSnapshot), String> {
+fn drive_load(addr: &str, seed: u64) -> Result<(Vec<f64>, f64, sar_serve::StatsSnapshot), String> {
     let started = Instant::now();
-    let mut handles = Vec::with_capacity(cfg.clients);
-    for c in 0..cfg.clients {
+    let mut handles = Vec::with_capacity(CLIENTS);
+    for c in 0..CLIENTS {
         let addr = addr.to_string();
-        let ids = client_ids(cfg.seed, c, cfg.requests, cfg.ids_per_request, cfg.nodes);
-        let expect_rows = cfg.ids_per_request;
+        let ids = client_ids(seed, c, REQUESTS, IDS_PER_REQUEST, NODES);
         handles.push(std::thread::spawn(move || -> Result<Vec<f64>, String> {
             let mut client = ServeClient::connect(addr.as_str())
                 .map_err(|e| format!("client {c}: connect: {e}"))?;
@@ -248,9 +149,9 @@ fn drive_load(
                     .query(req)
                     .map_err(|e| format!("client {c}: query: {e}"))?;
                 lat.push(t.elapsed().as_secs_f64() * 1e6);
-                if logits.rows() != expect_rows {
+                if logits.rows() != IDS_PER_REQUEST {
                     return Err(format!(
-                        "client {c}: got {} logit rows for {expect_rows} queried ids",
+                        "client {c}: got {} logit rows for {IDS_PER_REQUEST} queried ids",
                         logits.rows()
                     ));
                 }
@@ -258,7 +159,7 @@ fn drive_load(
             Ok(lat)
         }));
     }
-    let mut latencies = Vec::with_capacity(cfg.clients * cfg.requests);
+    let mut latencies = Vec::with_capacity(CLIENTS * REQUESTS);
     let mut errors = Vec::new();
     for h in handles {
         match h.join() {
@@ -296,21 +197,19 @@ fn drive_load(
 }
 
 /// Benchmarks one architecture: spawn the cluster, drive the load, wait
-/// for a clean exit, distill the run record.
-fn bench_arch(exe: &Path, cfg: &ServeBenchConfig, arch: &str) -> Result<ServeRun, String> {
-    let uniq = format!("{}-{arch}", std::process::id());
-    let rendezvous = std::env::temp_dir().join(format!("sar-servebench-{uniq}.addr"));
-    let client_addr = std::env::temp_dir().join(format!("sar-servebench-{uniq}.client"));
-    let ckpt = std::env::temp_dir().join(format!("sar-servebench-{uniq}.ckpt"));
-    let _ = std::fs::remove_file(&client_addr);
+/// for a clean exit, distill the run record. On any error the cluster
+/// is dropped, which kills the ranks.
+fn bench_arch(exe: &Path, arch: &str) -> Result<ServeRun, String> {
+    let workload = serve_workload(arch);
+    let mut files = TempFiles::default();
+    let (client_addr, ckpt) = (files.path("client"), files.path("ckpt"));
 
     // Write the checkpoint the workers load: the seeded deterministic
     // initialization for this exact (dataset, arch) pair, saved through
     // the real checkpoint codec so the serving path exercises a genuine
     // load-from-disk.
     {
-        let workload = serve_workload(cfg, arch);
-        let (dataset, _part) = workload.build_data(cfg.world)?;
+        let (dataset, _part) = workload.build_data(WORLD)?;
         let model_cfg = crate::serverun::serve_model_config(&workload, &dataset)?;
         let params =
             crate::serverun::load_or_init_params(&model_cfg, &dataset, workload.label_aug, None)?;
@@ -320,178 +219,71 @@ fn bench_arch(exe: &Path, cfg: &ServeBenchConfig, arch: &str) -> Result<ServeRun
             .map_err(|e| format!("cannot write checkpoint {}: {e}", ckpt.display()))?;
     }
 
-    let mut args = serve_workload(cfg, arch).to_args();
-    // `Workload::to_args` emits training-only flags too; `sar-serve`
-    // accepts and ignores them so one flag vocabulary serves both
-    // binaries.
+    let mut args = workload.to_args();
     args.extend([
         "--checkpoint".to_string(),
         ckpt.display().to_string(),
         "--client-addr-file".to_string(),
         client_addr.display().to_string(),
         "--max-batch".to_string(),
-        cfg.max_batch.to_string(),
+        MAX_BATCH.to_string(),
         "--max-delay-us".to_string(),
-        cfg.max_delay_us.to_string(),
+        MAX_DELAY_US.to_string(),
         "--cache-rows".to_string(),
-        cfg.cache_rows.to_string(),
+        CACHE_ROWS.to_string(),
     ]);
     eprintln!(
-        "[servebench] {arch}: spawning {} rank processes, {} clients × {} requests × {} ids ...",
-        cfg.world, cfg.clients, cfg.requests, cfg.ids_per_request
+        "[servebench] {arch}: spawning {WORLD} rank processes, {CLIENTS} clients × \
+         {REQUESTS} requests × {IDS_PER_REQUEST} ids ..."
     );
-    let children = spawn_cluster(exe, cfg.world, &args, &rendezvous)?;
-
-    let result = (|| -> Result<ServeRun, String> {
-        let addr = crate::launcher::read_rendezvous_addr(&client_addr, Duration::from_secs(60))
-            .map_err(|e| format!("front-end never published its client address: {e}"))?;
-        let (mut latencies, wall_secs, stats) = drive_load(&addr, cfg)?;
-        latencies.sort_by(|a, b| a.total_cmp(b));
-        let requests = latencies.len();
-        let mean_us = latencies.iter().sum::<f64>() / requests.max(1) as f64;
-        Ok(ServeRun {
-            arch: arch.to_string(),
-            clients: cfg.clients,
-            requests,
-            ids_per_request: cfg.ids_per_request,
-            qps: requests as f64 / wall_secs.max(1e-9),
-            p50_us: percentile(&latencies, 50.0),
-            p99_us: percentile(&latencies, 99.0),
-            mean_us,
-            batches: stats.batches,
-            queries: stats.queries,
-            fetch_bytes: stats.fetch_bytes,
-            full_forward_bytes: stats.full_forward_bytes,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-        })
-    })();
-
-    let failures = wait_cluster(children);
-    let _ = std::fs::remove_file(&rendezvous);
-    let _ = std::fs::remove_file(&client_addr);
-    let _ = std::fs::remove_file(&ckpt);
-    match (result, failures.is_empty()) {
-        (Ok(run), true) => Ok(run),
-        (Ok(_), false) => Err(format!("{arch}: {}", failures.join("; "))),
-        (Err(e), true) => Err(format!("{arch}: {e}")),
-        (Err(e), false) => Err(format!("{arch}: {e}; {}", failures.join("; "))),
-    }
+    let mut cluster = Cluster::launch(exe, WORLD, &args)?;
+    let addr = launcher::read_rendezvous_addr(&client_addr, Duration::from_secs(60))
+        .map_err(|e| format!("front-end never published its client address: {e}"))?;
+    let (mut latencies, wall_secs, stats) = drive_load(&addr, workload.seed)?;
+    cluster.wait()?;
+    latencies.sort_by(|a, b| a.total_cmp(b));
+    let requests = latencies.len();
+    Ok(ServeRun {
+        arch: arch.to_string(),
+        clients: CLIENTS,
+        requests,
+        ids_per_request: IDS_PER_REQUEST,
+        qps: requests as f64 / wall_secs.max(1e-9),
+        p50_us: percentile(&latencies, 50.0),
+        p99_us: percentile(&latencies, 99.0),
+        mean_us: latencies.iter().sum::<f64>() / requests.max(1) as f64,
+        batches: stats.batches,
+        queries: stats.queries,
+        fetch_bytes: stats.fetch_bytes,
+        full_forward_bytes: stats.full_forward_bytes,
+        cache_hits: stats.cache_hits,
+        cache_misses: stats.cache_misses,
+    })
 }
 
 /// The serving workload for one architecture (reuses the training
 /// workload vocabulary; training-only fields are ignored by serving).
-fn serve_workload(cfg: &ServeBenchConfig, arch: &str) -> crate::distrun::Workload {
-    crate::distrun::Workload {
+fn serve_workload(arch: &str) -> Workload {
+    Workload {
         dataset: "products".into(),
-        nodes: cfg.nodes,
+        nodes: NODES,
         arch: arch.to_string(),
         hidden: if arch == "gat" { 8 } else { 32 },
         heads: 4,
         mode: "sar".into(),
         layers: 2,
-        seed: cfg.seed,
-        threads: cfg.threads,
-        simd: cfg.simd.clone(),
-        ..crate::distrun::Workload::default()
+        seed: 0,
+        ..Workload::default()
     }
 }
-
-/// Runs the full benchmark: one cluster per configured architecture.
-///
-/// # Errors
-///
-/// Propagates spawn, protocol and rank-exit failures, naming the
-/// architecture.
-pub fn run_servebench(exe: &Path, cfg: &ServeBenchConfig) -> Result<ServeBenchReport, String> {
-    let mut runs = Vec::with_capacity(cfg.archs.len());
-    for arch in &cfg.archs {
-        runs.push(bench_arch(exe, cfg, arch)?);
-    }
-    Ok(ServeBenchReport {
-        world: cfg.world,
-        nodes: cfg.nodes,
-        threads: cfg.threads,
-        simd: cfg.simd.clone(),
-        runs,
-    })
-}
-
-// ----------------------------------------------------------------------
-// JSON report
-// ----------------------------------------------------------------------
-
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
-
-impl ServeBenchReport {
-    /// Serializes the report as the schema-versioned `BENCH_serve.json`
-    /// document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"world\": {},", self.world);
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"simd\": \"{}\",", self.simd);
-        s.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"arch\": \"{}\", \"clients\": {}, \"requests\": {}, \
-                 \"ids_per_request\": {}, \"qps\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"mean_us\": {}, \"batches\": {}, \"queries\": {}, \"fetch_bytes\": {}, \
-                 \"full_forward_bytes\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
-                r.arch,
-                r.clients,
-                r.requests,
-                r.ids_per_request,
-                fmt_num(r.qps),
-                fmt_num(r.p50_us),
-                fmt_num(r.p99_us),
-                fmt_num(r.mean_us),
-                r.batches,
-                r.queries,
-                r.fetch_bytes,
-                r.full_forward_bytes,
-                r.cache_hits,
-                r.cache_misses
-            );
-            s.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes [`ServeBenchReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors as strings.
-    pub fn write_json(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write {path}: {e}"))
-    }
-}
-
-// ----------------------------------------------------------------------
-// The CI gate
-// ----------------------------------------------------------------------
 
 /// Invariants one run record must satisfy, fresh or committed. Latency
 /// and QPS magnitudes are machine-dependent and never compared — only
 /// their internal consistency is.
-fn run_invariants(label: &str, run: &JsonValue) -> Vec<String> {
+fn run_invariants(label: &str, run: &Value) -> Vec<String> {
     let mut violations = Vec::new();
-    let num = |k: &str| run.get(k).and_then(JsonValue::num);
-    let arch = run.get("arch").and_then(JsonValue::str).unwrap_or("?");
+    let num = |k: &str| run.get(k).and_then(Value::num);
+    let arch = run.get("arch").and_then(Value::str).unwrap_or("?");
     let ctx = format!("{label} run {arch}");
     let Some(qps) = num("qps") else {
         return vec![format!("{ctx}: missing qps")];
@@ -553,206 +345,179 @@ fn run_invariants(label: &str, run: &JsonValue) -> Vec<String> {
     violations
 }
 
-/// Compares a fresh report against the committed `BENCH_serve.json`.
-///
-/// Returns the violations (empty = gate passes). Hard-fails on a schema
-/// or run-set mismatch (the artifact is stale — regenerate it); both
-/// the fresh and the committed records must satisfy [`run_invariants`].
-#[must_use]
-pub fn check_against(current: &ServeBenchReport, committed_text: &str) -> Vec<String> {
-    let committed = match parse_json(committed_text) {
-        Ok(c) => c,
-        Err(e) => return vec![format!("committed JSON parse error: {e}")],
-    };
-    match committed.get("schema").and_then(JsonValue::str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return vec![format!(
-                "committed schema \"{s}\" does not match this binary's \"{SCHEMA}\" — \
-                 regenerate with `repro servebench --out BENCH_serve.json`"
-            )]
-        }
-        None => return vec!["committed BENCH_serve.json has no \"schema\" field".into()],
-    }
-    let mut violations = Vec::new();
-    let committed_runs = committed
-        .get("runs")
-        .and_then(JsonValue::arr)
-        .unwrap_or_default();
-    let committed_archs: Vec<&str> = committed_runs
-        .iter()
-        .filter_map(|r| r.get("arch").and_then(JsonValue::str))
-        .collect();
-    let current_archs: Vec<&str> = current.runs.iter().map(|r| r.arch.as_str()).collect();
-    for arch in &committed_archs {
-        if !current_archs.contains(arch) {
-            violations.push(format!(
-                "run \"{arch}\" is committed but was not produced — the workload changed; \
-                 regenerate BENCH_serve.json"
-            ));
-        }
-    }
-    for arch in &current_archs {
-        if !committed_archs.contains(arch) {
-            violations.push(format!(
-                "run \"{arch}\" is new (not committed) — regenerate BENCH_serve.json"
-            ));
-        }
-    }
-    for run in committed_runs {
-        violations.extend(run_invariants("committed", run));
-    }
-    // The fresh report is validated through its own JSON so both sides
-    // go through the identical field checks.
-    match parse_json(&current.to_json()) {
-        Ok(doc) => {
-            for run in doc.get("runs").and_then(JsonValue::arr).unwrap_or_default() {
-                violations.extend(run_invariants("current", run));
-            }
-        }
-        Err(e) => violations.push(format!("current report does not serialize: {e}")),
-    }
-    violations
-}
+/// `repro servebench`: one `sar-serve` cluster per architecture, gated
+/// on `BENCH_serve.json` by architecture set and [`run_invariants`].
+pub struct ServeBench;
 
-/// Pretty-prints the report as an aligned table on stderr.
-pub fn print_table(report: &ServeBenchReport) {
-    eprintln!(
-        "[servebench] world={} nodes={} threads={} simd={}",
-        report.world, report.nodes, report.threads, report.simd
-    );
-    eprintln!(
-        "{:<6} {:>8} {:>9} {:>11} {:>11} {:>9} {:>12} {:>14} {:>7}",
-        "arch", "requests", "qps", "p50_us", "p99_us", "batches", "fetch_B", "full_fwd_B", "hits"
-    );
-    for r in &report.runs {
-        eprintln!(
-            "{:<6} {:>8} {:>9.1} {:>11.1} {:>11.1} {:>9} {:>12} {:>14} {:>7}",
-            r.arch,
-            r.requests,
-            r.qps,
-            r.p50_us,
-            r.p99_us,
-            r.batches,
-            r.fetch_bytes,
-            r.full_forward_bytes * r.batches,
-            r.cache_hits
+impl Bench for ServeBench {
+    const NAME: &'static str = "servebench";
+    const SCHEMA: &'static str = "sar-servebench/v1";
+    const ARTIFACT: &'static str = "BENCH_serve.json";
+    const ARRAYS: &'static [&'static str] = &["runs"];
+    type Report = Vec<ServeRun>;
+
+    fn run() -> Result<Vec<ServeRun>, String> {
+        let exe = launcher::sibling_binary("sar-serve")?;
+        ARCHS
+            .iter()
+            .map(|arch| bench_arch(&exe, arch).map_err(|e| format!("{arch}: {e}")))
+            .collect()
+    }
+
+    fn header(_runs: &Vec<ServeRun>) -> Vec<(&'static str, String)> {
+        let wl = serve_workload(ARCHS[0]);
+        vec![
+            ("world", WORLD.to_string()),
+            ("nodes", NODES.to_string()),
+            ("threads", wl.threads.to_string()),
+            ("simd", crate::json::string(&wl.simd)),
+        ]
+    }
+
+    fn records(runs: &Vec<ServeRun>) -> Vec<Vec<String>> {
+        vec![runs
+            .iter()
+            .map(|r| {
+                Obj::new()
+                    .str("arch", &r.arch)
+                    .raw("clients", r.clients)
+                    .raw("requests", r.requests)
+                    .raw("ids_per_request", r.ids_per_request)
+                    .num("qps", r.qps, 4)
+                    .num("p50_us", r.p50_us, 4)
+                    .num("p99_us", r.p99_us, 4)
+                    .num("mean_us", r.mean_us, 4)
+                    .raw("batches", r.batches)
+                    .raw("queries", r.queries)
+                    .raw("fetch_bytes", r.fetch_bytes)
+                    .raw("full_forward_bytes", r.full_forward_bytes)
+                    .raw("cache_hits", r.cache_hits)
+                    .raw("cache_misses", r.cache_misses)
+                    .finish()
+            })
+            .collect()]
+    }
+
+    fn tables(runs: &Vec<ServeRun>) -> Vec<Table> {
+        let mut t = Table::new(
+            format!("servebench — world={WORLD} nodes={NODES}"),
+            &[
+                "arch",
+                "requests",
+                "qps",
+                "p50_us",
+                "p99_us",
+                "batches",
+                "fetch_B",
+                "full_fwd_B",
+                "hits",
+            ],
         );
+        for r in runs {
+            t.row(vec![
+                r.arch.clone(),
+                r.requests.to_string(),
+                format!("{:.1}", r.qps),
+                format!("{:.1}", r.p50_us),
+                format!("{:.1}", r.p99_us),
+                r.batches.to_string(),
+                r.fetch_bytes.to_string(),
+                (r.full_forward_bytes * r.batches).to_string(),
+                r.cache_hits.to_string(),
+            ]);
+        }
+        vec![t]
+    }
+
+    fn run_key(_array: &str, run: &Value) -> Result<String, String> {
+        run.str_field("arch").map(|a| format!("\"{a}\""))
+    }
+
+    fn invariants(label: &str, doc: &Value) -> Vec<String> {
+        doc.items("runs")
+            .iter()
+            .flat_map(|run| run_invariants(label, run))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{check, to_json};
 
-    fn sample_report() -> ServeBenchReport {
-        ServeBenchReport {
-            world: 4,
-            nodes: 900,
-            threads: 1,
-            simd: "auto".into(),
-            runs: vec![
-                ServeRun {
-                    arch: "sage".into(),
-                    clients: 3,
-                    requests: 60,
-                    ids_per_request: 8,
-                    qps: 250.0,
-                    p50_us: 1500.0,
-                    p99_us: 9000.0,
-                    mean_us: 2000.0,
-                    batches: 40,
-                    queries: 480,
-                    fetch_bytes: 100_000,
-                    full_forward_bytes: 50_000,
-                    cache_hits: 12,
-                    cache_misses: 300,
-                },
-                ServeRun {
-                    arch: "gat".into(),
-                    clients: 3,
-                    requests: 60,
-                    ids_per_request: 8,
-                    qps: 120.0,
-                    p50_us: 3000.0,
-                    p99_us: 15000.0,
-                    mean_us: 4000.0,
-                    batches: 35,
-                    queries: 480,
-                    fetch_bytes: 220_000,
-                    full_forward_bytes: 90_000,
-                    cache_hits: 4,
-                    cache_misses: 400,
-                },
-            ],
-        }
+    fn sample_report() -> Vec<ServeRun> {
+        let run = |arch: &str, qps, batches, fetch_bytes, full_forward_bytes| ServeRun {
+            arch: arch.into(),
+            clients: 3,
+            requests: 60,
+            ids_per_request: 8,
+            qps,
+            p50_us: 1500.0,
+            p99_us: 9000.0,
+            mean_us: 2000.0,
+            batches,
+            queries: 480,
+            fetch_bytes,
+            full_forward_bytes,
+            cache_hits: 12,
+            cache_misses: 300,
+        };
+        vec![
+            run("sage", 250.0, 40, 100_000, 50_000),
+            run("gat", 120.0, 35, 220_000, 90_000),
+        ]
     }
 
-    #[test]
-    fn report_round_trips_and_passes_against_itself() {
-        let r = sample_report();
-        let doc = parse_json(&r.to_json()).expect("own JSON must parse");
-        assert_eq!(doc.get("schema").and_then(JsonValue::str), Some(SCHEMA));
-        assert_eq!(
-            doc.get("runs").and_then(JsonValue::arr).map(<[_]>::len),
-            Some(2)
-        );
-        assert!(check_against(&r, &r.to_json()).is_empty());
+    fn gate(current: &Vec<ServeRun>, committed: &str) -> Vec<String> {
+        check::<ServeBench>(&to_json::<ServeBench>(current), committed)
     }
 
     #[test]
     fn timings_may_drift_but_structure_may_not() {
         let r = sample_report();
-        let committed = r.to_json();
+        let committed = to_json::<ServeBench>(&r);
         // Latency and QPS drift freely.
         let mut fast = r.clone();
-        fast.runs[0].qps *= 50.0;
-        fast.runs[0].p50_us /= 30.0;
-        fast.runs[0].p99_us /= 30.0;
-        assert!(check_against(&fast, &committed).is_empty());
+        fast[0].qps *= 50.0;
+        fast[0].p50_us /= 30.0;
+        fast[0].p99_us /= 30.0;
+        assert!(gate(&fast, &committed).is_empty());
         // A missing run is structural drift.
         let mut fewer = r.clone();
-        fewer.runs.pop();
-        assert!(check_against(&fewer, &committed)
+        fewer.pop();
+        assert!(gate(&fewer, &committed)
             .iter()
             .any(|v| v.contains("not produced")));
         // A new run needs a regenerated artifact.
         let mut extra = r.clone();
-        extra.runs.push(ServeRun {
+        extra.push(ServeRun {
             arch: "gcn".into(),
-            ..r.runs[0].clone()
+            ..r[0].clone()
         });
-        assert!(check_against(&extra, &committed)
-            .iter()
-            .any(|v| v.contains("new")));
-        // Schema identity is hard.
-        let stale = committed.replace(SCHEMA, "sar-servebench/v0");
-        assert!(check_against(&r, &stale)[0].contains("schema"));
+        assert!(gate(&extra, &committed).iter().any(|v| v.contains("new")));
     }
 
     #[test]
     fn gate_rejects_unrestricted_compute_and_dropped_requests() {
         let r = sample_report();
-        let committed = r.to_json();
+        let committed = to_json::<ServeBench>(&r);
         // MFG fetch at (or above) the full-forward ceiling = the
         // restriction is gone.
         let mut unrestricted = r.clone();
-        unrestricted.runs[0].fetch_bytes =
-            unrestricted.runs[0].full_forward_bytes * unrestricted.runs[0].batches;
-        assert!(check_against(&unrestricted, &committed)
+        unrestricted[0].fetch_bytes = unrestricted[0].full_forward_bytes * unrestricted[0].batches;
+        assert!(gate(&unrestricted, &committed)
             .iter()
             .any(|v| v.contains("not restricted")));
         // Dropped queries are a correctness failure, not noise.
         let mut dropped = r.clone();
-        dropped.runs[1].queries -= 8;
-        assert!(check_against(&dropped, &committed)
+        dropped[1].queries -= 8;
+        assert!(gate(&dropped, &committed)
             .iter()
             .any(|v| v.contains("inconsistent") || v.contains("dropped")));
         // A corrupt committed artifact must also fail.
         let corrupt = committed.replace("\"batches\": 40", "\"batches\": 0");
-        assert!(check_against(&r, &corrupt)
-            .iter()
-            .any(|v| v.contains("coalescing")));
+        assert!(gate(&r, &corrupt).iter().any(|v| v.contains("coalescing")));
     }
 
     #[test]

@@ -8,8 +8,15 @@
 //! (`repro smoke --transport tcp`, which spawns one `sar-worker` process
 //! per rank) gate on *exactly* the same program and the same rules —
 //! any divergence between the backends then fails the same check.
+//! [`train`] is that one program for both backends, and
+//! [`overlap_check`] gates the smoke runs' `BENCH_overlap.json`.
+
+use sar_comm::CostModel;
 
 use crate::distrun::Workload;
+use crate::harness::{run_set_diff, runs_by_key};
+use crate::json::{self, Value};
+use crate::launcher;
 use crate::report::{mib, RunReport, Table};
 
 /// Worker count for the smoke runs.
@@ -65,6 +72,42 @@ pub fn workload(arch: &str, nodes: usize, seed: u64) -> Result<Workload, String>
             "unknown smoke model {other:?}; supported models: {}",
             MODELS.join(", ")
         )),
+    }
+}
+
+/// Trains `workload` on `world` workers and returns the report with its
+/// parity digest. `transport` `"sim"` trains in-process under the SIMD
+/// mode the workload names, charging communication to `cost`; `"tcp"`
+/// launches one `sar-worker` OS process per rank over loopback
+/// ([`launcher::run_tcp_training`]), where `cost` is the ranks' default.
+///
+/// # Errors
+///
+/// Unknown workload names or transport, and launch failures.
+pub fn train(
+    transport: &str,
+    workload: &Workload,
+    world: usize,
+    experiment: &str,
+    cost: CostModel,
+) -> Result<(RunReport, String), String> {
+    match transport {
+        "sim" => {
+            let mode = sar_tensor::simd::parse_mode(&workload.simd)
+                .ok_or_else(|| format!("unknown --simd {}", workload.simd))?;
+            sar_tensor::simd::set_mode(mode);
+            let (dataset, part) = workload.build_data(world)?;
+            let cfg = workload.train_config(&dataset)?;
+            let run = sar_core::train(&dataset, &part, cost, &cfg);
+            let report = RunReport::from_train(experiment, &workload.arch, &workload.mode, &run);
+            let digest = report.parity_digest();
+            Ok((report, digest))
+        }
+        "tcp" => {
+            let exe = launcher::sibling_binary("sar-worker")?;
+            launcher::run_tcp_training(&exe, world, workload, experiment)
+        }
+        other => Err(format!("unknown transport {other} (sim|tcp)")),
     }
 }
 
@@ -167,6 +210,112 @@ pub fn digest_diff(baseline: &str, run: &str) -> Option<String> {
             }
         }
     }
+}
+
+/// Identity of one smoke run inside `BENCH_overlap.json`.
+fn overlap_run_key(run: &Value) -> Result<String, String> {
+    // `simd` is optional for pre-SIMD artifacts; default matches the
+    // historical behaviour.
+    let simd = run.get("simd").and_then(Value::str).unwrap_or("auto");
+    Ok(format!(
+        "{}/{}/t{}/d{}/{simd}",
+        run.str_field("experiment")?,
+        run.str_field("transport")?,
+        run.num_field("threads")?,
+        run.num_field("prefetch_depth")?,
+    ))
+}
+
+/// Diffs a freshly generated `BENCH_overlap.json` against the committed
+/// copy. Timings legitimately vary run to run, so the comparison covers
+/// only *structure and invariants*:
+///
+/// * the run set (experiment, transport, threads, prefetch-depth, simd)
+///   must be identical in both files,
+/// * each run's phase-name set must match the committed run's,
+/// * every phase must satisfy `0 ≤ blocked_us ≤ wall_us` and
+///   `cpu_us ≥ 0` — blocked time is a measured subset of wall time, so
+///   a violation means the ledger itself is corrupt. Phases the runtime
+///   does not wall-clock (`wall_us == 0`, e.g. `collective`) only need
+///   their entries non-negative.
+///
+/// Returns the violations (empty = the artifact is consistent).
+#[must_use]
+pub fn overlap_check(current_text: &str, committed_text: &str) -> Vec<String> {
+    let parse = |label: &str, text: &str| -> Result<Value, String> {
+        let doc = json::parse(text).map_err(|e| format!("{label}: JSON parse error: {e}"))?;
+        doc.get("runs")
+            .and_then(Value::arr)
+            .ok_or_else(|| format!("{label}: no \"runs\" array"))?;
+        Ok(doc)
+    };
+    let (current_doc, committed_doc) = match (
+        parse("current", current_text),
+        parse("committed", committed_text),
+    ) {
+        (Ok(c), Ok(k)) => (c, k),
+        (Err(e), _) | (_, Err(e)) => return vec![e],
+    };
+    let (current, committed) = match (
+        runs_by_key("current", &current_doc, "runs", overlap_run_key),
+        runs_by_key("committed", &committed_doc, "runs", overlap_run_key),
+    ) {
+        (Ok(c), Ok(k)) => (c, k),
+        (Err(e), _) | (_, Err(e)) => return vec![e],
+    };
+    let mut violations = run_set_diff("BENCH_overlap.json", &current, &committed);
+    let phases = |run: &Value| -> Vec<Value> {
+        run.get("overlap")
+            .map(|o| o.items("phases").to_vec())
+            .unwrap_or_default()
+    };
+    let phase_names = |run: &Value| -> Vec<String> {
+        let mut names: Vec<String> = phases(run)
+            .iter()
+            .filter_map(|p| p.get("phase").and_then(Value::str).map(str::to_string))
+            .collect();
+        names.sort();
+        names
+    };
+    for (key, run) in &current {
+        let Some(base) = committed.get(key) else {
+            continue;
+        };
+        let (cur_phases, base_phases) = (phase_names(run), phase_names(base));
+        if cur_phases != base_phases {
+            violations.push(format!(
+                "run {key}: phase set {cur_phases:?} differs from committed {base_phases:?}"
+            ));
+        }
+        for p in phases(run) {
+            let name = p.get("phase").and_then(Value::str).unwrap_or("?");
+            let f = |k: &str| p.get(k).and_then(Value::num);
+            match (f("wall_us"), f("blocked_us"), f("cpu_us")) {
+                (Some(w), Some(b), Some(c)) => {
+                    if !(b >= 0.0 && w >= 0.0 && c >= 0.0) {
+                        violations.push(format!(
+                            "run {key} phase {name}: negative ledger entry \
+                             (wall={w}, blocked={b}, cpu={c})"
+                        ));
+                    }
+                    // Blocked time is measured inside the wall interval;
+                    // allow a microscopic slack for summed rounding. A
+                    // zero wall means the runtime never clocks the phase
+                    // (the collective gather) — blocked alone is fine.
+                    if w > 0.0 && b > w * (1.0 + 1e-9) + 1.0 {
+                        violations.push(format!(
+                            "run {key} phase {name}: blocked_us {b} exceeds wall_us {w} \
+                             — the overlap ledger is inconsistent"
+                        ));
+                    }
+                }
+                _ => violations.push(format!(
+                    "run {key} phase {name}: missing wall_us/blocked_us/cpu_us"
+                )),
+            }
+        }
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -273,6 +422,39 @@ mod tests {
         let err = workload("transformer", 1500, 0).unwrap_err();
         assert!(err.contains("transformer"), "{err}");
         assert!(err.contains("sage, gat"), "{err}");
+    }
+
+    const OVERLAP: &str = r#"{"runs": [
+        {"experiment": "smoke-sage", "transport": "tcp", "threads": 1,
+         "prefetch_depth": 0, "simd": "auto",
+         "overlap": {"phases": [{"phase": "fetch", "wall_us": 10.0,
+          "blocked_us": 4.0, "comm_us": 3.0, "cpu_us": 6.0}]}}
+    ]}"#;
+
+    #[test]
+    fn overlap_check_accepts_consistent_and_flags_drift() {
+        assert!(overlap_check(OVERLAP, OVERLAP).is_empty());
+        // Timings may differ freely.
+        let retimed = OVERLAP.replace("10.0", "99.0");
+        assert!(overlap_check(&retimed, OVERLAP).is_empty());
+        // A missing run is structural drift.
+        let empty = r#"{"runs": []}"#;
+        assert!(overlap_check(empty, OVERLAP)
+            .iter()
+            .any(|v| v.contains("not produced")));
+        assert!(overlap_check(OVERLAP, empty)
+            .iter()
+            .any(|v| v.contains("new")));
+        // blocked > wall is a corrupt ledger.
+        let corrupt = OVERLAP.replace("\"blocked_us\": 4.0", "\"blocked_us\": 40.0");
+        assert!(overlap_check(&corrupt, OVERLAP)
+            .iter()
+            .any(|v| v.contains("exceeds wall_us")));
+        // ... unless the phase is one the runtime never wall-clocks
+        // (wall_us == 0, like the collective gather): blocked alone is
+        // legitimate there.
+        let untimed = OVERLAP.replace("\"wall_us\": 10.0", "\"wall_us\": 0.0");
+        assert!(overlap_check(&untimed, &untimed).is_empty());
     }
 
     #[test]

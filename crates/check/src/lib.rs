@@ -28,7 +28,7 @@
 //!
 //! Every pass reports through the same [`Finding`]/[`PassReport`] types,
 //! and [`Report`] serializes the combined result as machine-readable JSON
-//! (hand-rolled — the workspace is offline, no serde).
+//! through the workspace's one JSON module, [`sar_bench::json`].
 
 pub mod ast;
 pub mod ledgercheck;
@@ -37,6 +37,8 @@ pub mod protocol;
 pub mod reportio;
 pub mod sched;
 pub mod taint;
+
+use sar_bench::json;
 
 /// One problem found by a pass. `location` is a file/line for the linter,
 /// a `(n, k, model)` coordinate for the protocol verifier, or a model
@@ -126,7 +128,7 @@ impl Report {
         out.push_str(",\n  \"passes\": [\n");
         for (i, pass) in self.passes.iter().enumerate() {
             out.push_str("    {\n      \"pass\": ");
-            out.push_str(&json_string(&pass.pass));
+            out.push_str(&json::string(&pass.pass));
             out.push_str(",\n      \"clean\": ");
             out.push_str(if pass.clean() { "true" } else { "false" });
             out.push_str(",\n      \"stats\": {");
@@ -135,7 +137,7 @@ impl Report {
                     out.push(',');
                 }
                 out.push_str("\n        ");
-                out.push_str(&json_string(name));
+                out.push_str(&json::string(name));
                 out.push_str(": ");
                 out.push_str(&value.to_string());
             }
@@ -148,11 +150,11 @@ impl Report {
                     out.push(',');
                 }
                 out.push_str("\n        {\"rule\": ");
-                out.push_str(&json_string(&finding.rule));
+                out.push_str(&json::string(&finding.rule));
                 out.push_str(", \"location\": ");
-                out.push_str(&json_string(&finding.location));
+                out.push_str(&json::string(&finding.location));
                 out.push_str(", \"message\": ");
-                out.push_str(&json_string(&finding.message));
+                out.push_str(&json::string(&finding.message));
                 out.push('}');
             }
             if !pass.findings.is_empty() {
@@ -167,26 +169,6 @@ impl Report {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// JSON-escapes `s` and wraps it in quotes.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -208,10 +190,5 @@ mod tests {
         assert!(json.contains("\"files_scanned\": 3"));
         assert!(json.contains("no-panic-path"));
         assert!(!report.clean());
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -1,5 +1,4 @@
-//! Proof-report IO: a minimal JSON value parser (the workspace is
-//! offline — no serde) and the committed-baseline diff.
+//! The committed-baseline diff of the proof report.
 //!
 //! CI runs `sar-check --all --baseline PROOF_sarcheck.json`: the fresh
 //! [`Report`](crate::Report) is compared against the committed baseline
@@ -8,224 +7,13 @@
 //! mode, where a refactor quietly stops verifying configurations while
 //! the remaining ones stay green. Measurement stats (peaks, annotation
 //! tallies) may move freely; only counters whose name carries an
-//! obligation suffix ([`OBLIGATION_SUFFIXES`]) are ratcheted.
+//! obligation suffix ([`OBLIGATION_SUFFIXES`]) are ratcheted. The
+//! baseline is read with the workspace's one JSON parser,
+//! [`sar_bench::json`].
+
+use sar_bench::json::{self, Value};
 
 use crate::Report;
-
-/// A parsed JSON value. Numbers are `f64` — the report's counters are
-/// well within exact range.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    #[must_use]
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a message naming the byte offset on malformed input.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                members.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut out = String::new();
-            loop {
-                match bytes.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(out));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match bytes.get(*pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = bytes
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&b) => {
-                        // Collect the full UTF-8 sequence.
-                        let len = match b {
-                            _ if b < 0x80 => 1,
-                            _ if b >> 5 == 0b110 => 2,
-                            _ if b >> 4 == 0b1110 => 3,
-                            _ => 4,
-                        };
-                        let chunk = bytes
-                            .get(*pos..*pos + len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        out.push_str(
-                            std::str::from_utf8(chunk).map_err(|e| format!("bad UTF-8: {e}"))?,
-                        );
-                        *pos += len;
-                    }
-                }
-            }
-        }
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))
-        }
-    }
-}
 
 /// Stat-name suffixes that denote proof obligations: these counters may
 /// only grow (or hold) relative to the committed baseline.
@@ -252,16 +40,16 @@ pub fn is_obligation_stat(name: &str) -> bool {
 /// Returns the parse error when the baseline is not valid JSON or lacks
 /// the report shape.
 pub fn check_baseline(current: &Report, baseline_text: &str) -> Result<Vec<String>, String> {
-    let baseline = parse(baseline_text)?;
+    let baseline = json::parse(baseline_text)?;
     let passes = baseline
         .get("passes")
-        .and_then(Json::as_arr)
+        .and_then(Value::arr)
         .ok_or("baseline has no `passes` array")?;
     let mut drops = Vec::new();
     for pass in passes {
         let name = pass
             .get("pass")
-            .and_then(Json::as_str)
+            .and_then(Value::str)
             .ok_or("baseline pass entry has no `pass` name")?;
         let Some(cur) = current.passes.iter().find(|p| p.pass == name) else {
             drops.push(format!(
@@ -270,14 +58,14 @@ pub fn check_baseline(current: &Report, baseline_text: &str) -> Result<Vec<Strin
             ));
             continue;
         };
-        let Some(Json::Obj(stats)) = pass.get("stats") else {
+        let Some(Value::Obj(stats)) = pass.get("stats") else {
             continue;
         };
         for (stat, value) in stats {
             if !is_obligation_stat(stat) {
                 continue;
             }
-            let Some(base) = value.as_num() else { continue };
+            let Some(base) = value.num() else { continue };
             let now = cur
                 .stats
                 .iter()
@@ -325,30 +113,34 @@ mod tests {
         // The proof-report schema: what `to_json` writes, `parse` reads
         // back structurally intact — escapes included.
         let report = sample_report();
-        let parsed = parse(&report.to_json()).expect("report JSON parses");
-        assert_eq!(parsed.get("tool").and_then(Json::as_str), Some("sar-check"));
-        assert_eq!(parsed.get("clean"), Some(&Json::Bool(false)));
-        let passes = parsed.get("passes").and_then(Json::as_arr).expect("passes");
+        let parsed = json::parse(&report.to_json()).expect("report JSON parses");
+        assert_eq!(parsed.get("tool").and_then(Value::str), Some("sar-check"));
+        assert_eq!(parsed.get("clean"), Some(&Value::Bool(false)));
+        let passes = parsed.items("passes");
         assert_eq!(passes.len(), 2);
-        assert_eq!(
-            passes[0].get("pass").and_then(Json::as_str),
-            Some("protocol")
-        );
+        assert_eq!(passes[0].get("pass").and_then(Value::str), Some("protocol"));
         assert_eq!(
             passes[0]
                 .get("stats")
                 .and_then(|s| s.get("configs_verified"))
-                .and_then(Json::as_num),
+                .and_then(Value::num),
             Some(56.0)
         );
-        let findings = passes[1]
-            .get("findings")
-            .and_then(Json::as_arr)
-            .expect("findings");
         assert_eq!(
-            findings[0].get("message").and_then(Json::as_str),
+            passes[1].items("findings")[0]
+                .get("message")
+                .and_then(Value::str),
             Some("bare `unwrap()` — with \"quotes\" and\nnewline")
         );
+    }
+
+    #[test]
+    fn deeply_nested_baseline_is_an_error_not_a_crash() {
+        let report = sample_report();
+        for depth in [1_000, 1_000_000] {
+            let err = check_baseline(&report, &"[".repeat(depth)).unwrap_err();
+            assert!(err.contains("too deep"), "{err}");
+        }
     }
 
     #[test]
