@@ -242,6 +242,17 @@ impl Workload {
             "papers" => datasets::papers_like(self.nodes, self.seed),
             other => return Err(format!("unknown dataset {other}")),
         };
+        let part = self.partition(&dataset, world)?;
+        Ok((dataset, part))
+    }
+
+    /// Partitions `dataset` into `world` parts with this workload's
+    /// partitioner and seed.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an unknown partitioner name.
+    pub fn partition(&self, dataset: &Dataset, world: usize) -> Result<Partitioning, String> {
         let method = match self.partitioner.as_str() {
             "ml" => Method::Multilevel,
             "random" => Method::Random,
@@ -249,8 +260,7 @@ impl Workload {
             "bfs" => Method::Bfs,
             other => return Err(format!("unknown partitioner {other}")),
         };
-        let part = partition(&dataset.graph, world, method, self.seed);
-        Ok((dataset, part))
+        Ok(partition(&dataset.graph, world, method, self.seed))
     }
 
     /// Builds the [`TrainConfig`] for this workload.

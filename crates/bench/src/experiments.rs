@@ -1,6 +1,7 @@
 //! The experiments of the paper's evaluation section (§4), one function
 //! per table/figure, plus the ablations called out in DESIGN.md.
 
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -377,7 +378,7 @@ pub fn ablation_prefetch(cfg: &ExpConfig) -> Table {
         let graphs = Arc::clone(&graphs);
         let outcomes = sar_comm::Cluster::new(world, cfg.cost_model()).run(move |ctx| {
             let rank = ctx.rank();
-            let w = Worker::with_prefetch_depth(ctx, Arc::clone(&graphs[rank]), depth);
+            let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
             let z = Var::constant(sar_tensor::Tensor::ones(&[w.graph.num_local(), feat]));
             // Measure only the aggregation loop.
             MemoryTracker::reset_peak();

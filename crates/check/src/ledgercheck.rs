@@ -39,14 +39,7 @@ use crate::ast::{line_of, FileInfo, Workspace};
 use crate::{Finding, PassReport};
 
 /// The comm-context methods whose call sites are phase-audited.
-const CTX_COMM_CALLS: &[&str] = &[
-    "send_nowait",
-    "try_send",
-    "try_recv",
-    "send",
-    "recv",
-    "recv_tagged_any",
-];
+const CTX_COMM_CALLS: &[&str] = &["try_send", "try_recv", "recv_tagged_any"];
 
 /// Runs the pass over a workspace checkout.
 #[must_use]
@@ -441,7 +434,7 @@ impl Ctx {
         let msg = self.transport.recv_any(t);
         self.buffer(msg);
     }
-    fn poll_ready(&self) {
+    fn drain_ready(&self) {
         let msg = self.transport.try_recv_any();
         self.buffer(msg);
     }
@@ -484,7 +477,7 @@ impl Codec {
         let bad = "\
 impl W {
     fn exchange(&self) {
-        self.ctx.send_nowait(dst, tag, payload);
+        self.ctx.try_send(dst, tag, payload);
     }
 }
 ";
@@ -496,7 +489,7 @@ impl W {
 impl W {
     fn exchange(&self) {
         let _phase = self.ctx.phase_scope(Phase::ForwardFetch);
-        self.ctx.send_nowait(dst, tag, payload);
+        self.ctx.try_send(dst, tag, payload);
     }
 }
 ";
@@ -506,7 +499,7 @@ impl W {
 impl W {
     // sar-check: allow(phase-scope)
     fn exchange(&self) {
-        self.ctx.send_nowait(dst, tag, payload);
+        self.ctx.try_send(dst, tag, payload);
     }
 }
 ";

@@ -22,7 +22,7 @@
 //!   target-feature contract or a stale mapping is undefined behaviour,
 //!   not a style choice.
 //! * `phase-scope` — any function in `sar-core` that calls the
-//!   communication context (`ctx.send_nowait`, `ctx.try_recv`, …) must
+//!   communication context (`ctx.try_send`, `ctx.try_recv`, …) must
 //!   open a `phase_scope` (or inspect `current_phase`), so every byte is
 //!   attributed to a ledger phase.
 //! * `no-unbounded-channel` — no `channel()` / `unbounded()`
@@ -460,7 +460,7 @@ fn phase_rule_applies(rel: &str) -> bool {
 }
 
 /// The comm-context methods that must run under a phase scope.
-const CTX_COMM_CALLS: &[&str] = &["send_nowait", "try_recv", "send", "recv_tagged_any"];
+const CTX_COMM_CALLS: &[&str] = &["try_send", "try_recv", "recv_tagged_any"];
 
 fn lint_file(file: &SourceFile, report: &mut PassReport) {
     let raw_lines = file.raw_lines();
@@ -768,6 +768,30 @@ mod tests {
         let mut report = PassReport::new("lint");
         lint_file(&mem_file("crates/x/src/a.rs", raw), &mut report);
         report.findings
+    }
+
+    #[test]
+    fn unscoped_comm_calls_are_flagged_for_every_comm_method() {
+        // Seeded bug: each comm method called from a sar-core function
+        // that opens no phase_scope — its bytes would land in `Other`.
+        for call in CTX_COMM_CALLS {
+            let raw = format!("fn exchange(w: &W) {{\n    w.ctx.{call}(1, 2);\n}}\n");
+            let mut report = PassReport::new("lint");
+            lint_file(&mem_file("crates/core/src/worker.rs", &raw), &mut report);
+            assert!(
+                report.findings.iter().any(|f| f.rule == "phase-scope"),
+                "ctx.{call} escaped the phase-scope rule: {:?}",
+                report.findings
+            );
+            let scoped = raw.replace(
+                "{\n",
+                "{\n    let _p = w.ctx.phase_scope(Phase::GradRouting);\n",
+            );
+            let mut report = PassReport::new("lint");
+            lint_file(&mem_file("crates/core/src/worker.rs", &scoped), &mut report);
+            assert!(report.findings.is_empty(), "{:?}", report.findings);
+        }
+        assert!(CTX_COMM_CALLS.contains(&"try_send"));
     }
 
     #[test]

@@ -59,7 +59,6 @@ const ROOT_FNS: &[(&str, &str)] = &[
     ("crates/core/src/worker.rs", "exchange_grads"),
     ("crates/core/src/worker.rs", "replay_tiered"),
     ("crates/core/src/worker.rs", "serve"),
-    ("crates/core/src/worker.rs", "receive_block"),
     ("crates/core/src/worker.rs", "try_receive_block"),
     ("crates/core/src/worker.rs", "gather_pooled"),
     ("crates/serve/src/engine.rs", "run_batch"),
@@ -67,9 +66,6 @@ const ROOT_FNS: &[(&str, &str)] = &[
     ("crates/serve/src/engine.rs", "forward_mfg"),
     ("crates/serve/src/engine.rs", "gather_results"),
     ("crates/comm/src/ctx.rs", "try_send"),
-    ("crates/comm/src/ctx.rs", "send"),
-    ("crates/comm/src/ctx.rs", "send_nowait"),
-    ("crates/comm/src/ctx.rs", "recv"),
     ("crates/comm/src/ctx.rs", "try_recv"),
     ("crates/comm/src/ctx.rs", "recv_tagged_any"),
     ("crates/comm/src/ctx.rs", "encode_for_wire"),

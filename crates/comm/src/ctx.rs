@@ -26,7 +26,7 @@ type DeltaStreamKey = (u32, Phase, Option<u16>);
 /// Each worker owns exactly one `WorkerCtx`, wrapping one
 /// [`Transport`] backend (in-process channels or TCP — the algorithms
 /// above never see the difference). Point-to-point messages are tagged;
-/// [`WorkerCtx::recv`] matches on `(src, tag)` and buffers out-of-order
+/// [`WorkerCtx::try_recv`] matches on `(src, tag)` and buffers out-of-order
 /// arrivals, so independent protocols (per-layer feature fetches, gradient
 /// pushes, collectives) can interleave safely.
 ///
@@ -40,6 +40,12 @@ type DeltaStreamKey = (u32, Phase, Option<u16>);
 /// network. Communication *time* follows the backend's [`Clock`]:
 /// simulated α–β cost on the channel backend (charged on the wire size),
 /// measured wall-clock blocking time on TCP.
+///
+/// Every communication call is fallible: [`WorkerCtx::try_send`],
+/// [`WorkerCtx::try_recv`], [`WorkerCtx::recv_tagged_any`] and
+/// [`WorkerCtx::try_barrier`] return a [`TransportError`] naming the
+/// peer instead of panicking, so a dead or corrupt peer surfaces as a
+/// typed error at the caller.
 ///
 /// `WorkerCtx` is intentionally not `Clone`: SAR's algorithms are
 /// bulk-synchronous SPMD, one context per worker.
@@ -77,8 +83,8 @@ pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 62;
 impl WorkerCtx {
     /// Wraps a transport backend in a worker context.
     ///
-    /// `recv_timeout` bounds how long a blocked [`WorkerCtx::recv`] waits
-    /// before declaring the protocol dead.
+    /// `recv_timeout` bounds how long a blocked [`WorkerCtx::try_recv`]
+    /// waits before declaring the protocol dead.
     pub fn new(transport: Box<dyn Transport>, cost: CostModel, recv_timeout: Duration) -> Self {
         let world = transport.world_size();
         WorkerCtx {
@@ -245,42 +251,26 @@ impl WorkerCtx {
         }
     }
 
-    /// Sends `payload` to worker `dst` under `tag`.
+    /// Sends `payload` to worker `dst` under `tag` without waiting for the
+    /// peer: the payload goes to the transport's outgoing queue (on TCP,
+    /// the destination's per-peer writer thread, so the encode and socket
+    /// write happen off the caller's critical path). If the writer's
+    /// bounded queue is full the call exerts backpressure (it briefly
+    /// blocks), which bounds in-flight memory but never deadlocks a
+    /// send-before-receive protocol.
     ///
     /// Sending to self is allowed (the message loops back through the
     /// pending buffer, never touching the transport) but never charged
-    /// communication time. Neither backend's `send` blocks on a quiet
-    /// network — protocols where every worker sends before receiving
-    /// cannot deadlock (TCP can block briefly if a socket buffer fills,
-    /// which is backpressure, not a protocol stall).
+    /// communication time.
     ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range or the destination worker is gone
-    /// (its channel is disconnected / its connection dropped). Callers
-    /// that must survive a dead peer use [`WorkerCtx::try_send`].
-    pub fn send(&self, dst: usize, tag: u64, payload: Payload) {
-        self.try_send(dst, tag, payload).unwrap_or_else(|e| {
-            panic!(
-                "worker {} sending to (dst={dst}, tag={tag}): {e} — \
-                 the destination worker hung up (panicked?)",
-                self.rank()
-            )
-        });
-    }
-
-    /// Fallible [`WorkerCtx::send`]: identical byte/message accounting,
-    /// but a transport failure comes back as an error instead of a panic,
-    /// so the caller can exit its rank cleanly with context.
-    ///
-    /// The send is ledgered before the transport is touched (mirroring the
-    /// panicking path, where the process dies before the ledger could be
-    /// read), so a failed send still appears in the sent counters.
+    /// The send is ledgered before the transport is touched, so a failed
+    /// send still appears in the sent counters.
     ///
     /// # Errors
     ///
     /// Whatever the transport reports — typically
-    /// [`TransportError::Disconnected`].
+    /// [`TransportError::Disconnected`] when the destination worker is
+    /// gone.
     ///
     /// # Panics
     ///
@@ -386,69 +376,22 @@ impl WorkerCtx {
         Ok((Payload::F32(values), wire))
     }
 
-    /// Non-blocking [`WorkerCtx::send`] for pipeline call sites: hands the
-    /// payload to the transport's outgoing queue and returns without
-    /// waiting for the peer. Byte/message ledgers are charged exactly as in
-    /// the blocking path (the ledger is written before the transport is
-    /// touched on both), so switching a protocol between `send` and
-    /// `send_nowait` cannot change any byte ledger.
-    ///
-    /// On the channel backend every send is already an enqueue; on TCP the
-    /// frame goes to the destination's per-peer writer thread, so the
-    /// serve-side encode and socket write happen off the caller's critical
-    /// path. If the writer's bounded queue is full the call exerts
-    /// backpressure (it briefly blocks), which bounds in-flight memory but
-    /// never deadlocks a send-before-receive protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range or the destination worker is gone,
-    /// like [`WorkerCtx::send`].
-    pub fn send_nowait(&self, dst: usize, tag: u64, payload: Payload) {
-        self.try_send(dst, tag, payload).unwrap_or_else(|e| {
-            panic!(
-                "worker {} sending (nowait) to (dst={dst}, tag={tag}): {e} — \
-                 the destination worker hung up (panicked?)",
-                self.rank()
-            )
-        });
-    }
-
     /// Receives the next payload from `src` under `tag`, blocking until it
-    /// arrives. Out-of-order messages for other `(src, tag)` pairs are
-    /// buffered.
+    /// arrives or the receive timeout expires. Out-of-order messages for
+    /// other `(src, tag)` pairs are buffered.
     ///
     /// Charges this worker's ledger communication time unless
     /// `src == rank`: `alpha + wire_len/beta` of simulated time under
     /// [`Clock::Simulated`], the measured wall-clock time spent blocked on
     /// the transport under [`Clock::Wall`].
     ///
-    /// # Panics
-    ///
-    /// Panics if nothing arrives within the receive timeout (a peer died
-    /// or the protocol deadlocked) or the transport reports a peer
-    /// failure. Callers that must survive a dead peer use
-    /// [`WorkerCtx::try_recv`].
-    pub fn recv(&self, src: usize, tag: u64) -> Payload {
-        self.try_recv(src, tag).unwrap_or_else(|e| {
-            panic!(
-                "worker {} waiting on (src={src}, tag={tag}): {e} — \
-                 a peer likely panicked, died, or the protocol deadlocked",
-                self.rank()
-            )
-        })
-    }
-
-    /// Fallible [`WorkerCtx::recv`]: identical matching, buffering and
-    /// ledger accounting, but a timeout or peer failure comes back as an
-    /// error instead of a panic, so the caller can exit its rank cleanly
-    /// naming what it was waiting for.
-    ///
     /// # Errors
     ///
     /// [`TransportError::Timeout`] if nothing arrived within the receive
-    /// timeout; otherwise whatever the transport reports (disconnect,
-    /// corrupt frame, …). Nothing is charged to the ledger on failure.
+    /// timeout (a peer died or the protocol deadlocked); its `detail`
+    /// names this worker and the `(src, tag)` it waited on. Otherwise
+    /// whatever the transport reports (disconnect, corrupt frame, …).
+    /// Nothing is charged to the ledger on failure.
     pub fn try_recv(&self, src: usize, tag: u64) -> Result<Payload, TransportError> {
         let key = (src as u32, tag);
         let mut blocked_us = 0.0f64;
@@ -464,7 +407,8 @@ impl WorkerCtx {
             // sar-check: deterministic(metering: blocked-time accounting
             // only; the delivered payload is untouched)
             let start = Instant::now();
-            let msg = self.transport.recv_any(self.recv_timeout)?;
+            let arrival = self.transport.recv_any(self.recv_timeout);
+            let msg = arrival.map_err(|e| self.name_wait(e, src, tag))?;
             blocked_us += start.elapsed().as_secs_f64() * 1e6; // sar-check: deterministic(metering)
             let decoded = self.decode_arrival(msg.src, msg.payload)?;
             if (msg.src, msg.tag) == key {
@@ -478,6 +422,24 @@ impl WorkerCtx {
         };
         self.charge_recv(src, tag, &payload, wire, blocked_us);
         Ok(payload)
+    }
+
+    /// Puts the waiting rank and the `(src, tag)` it waited on into a
+    /// timeout's `detail`, so the error alone says which exchange stalled.
+    fn name_wait(&self, e: TransportError, src: usize, tag: u64) -> TransportError {
+        match e {
+            TransportError::Timeout { waited, detail } => {
+                let wait = format!("worker {} waiting on (src={src}, tag={tag})", self.rank());
+                TransportError::Timeout {
+                    waited,
+                    detail: Some(match detail {
+                        Some(d) => format!("{wait}: {d}"),
+                        None => wait,
+                    }),
+                }
+            }
+            other => other,
+        }
     }
 
     /// Receives the next message carrying `tag` from *any* source, blocking
@@ -573,74 +535,13 @@ impl WorkerCtx {
         entry.blocked_us += blocked_us;
     }
 
-    /// `true` if a message from `(src, tag)` is already available without
-    /// blocking (it may sit in the pending buffer or the transport).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transport reports a peer failure while polling.
-    /// Callers that must survive a dead peer use [`WorkerCtx::poll_ready`].
-    pub fn try_ready(&self, src: usize, tag: u64) -> bool {
-        self.poll_ready(src, tag).unwrap_or_else(|e| {
-            panic!(
-                "worker {} polling for (src={src}, tag={tag}): {e}",
-                self.rank()
-            )
-        })
-    }
-
-    /// Fallible [`WorkerCtx::try_ready`]: a transport failure while
-    /// polling comes back as an error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the transport reports (disconnect, corrupt frame, …).
-    pub fn poll_ready(&self, src: usize, tag: u64) -> Result<bool, TransportError> {
-        let key = (src as u32, tag);
-        if self
-            .pending
-            .borrow()
-            .get(&key)
-            .is_some_and(|q| !q.is_empty())
-        {
-            return Ok(true);
-        }
-        loop {
-            let msg = match self.transport.try_recv_any()? {
-                Some(m) => m,
-                None => return Ok(false),
-            };
-            let k = (msg.src, msg.tag);
-            let decoded = self.decode_arrival(msg.src, msg.payload)?;
-            self.pending
-                .borrow_mut()
-                .entry(k)
-                .or_default()
-                .push_back(decoded);
-            if k == key {
-                return Ok(true);
-            }
-        }
-    }
-
     /// Blocks until all workers have reached the barrier. Barrier traffic
     /// is transport-internal: it appears in no byte ledger on any backend.
     ///
-    /// # Panics
-    ///
-    /// Panics if a peer dies while the barrier is forming. Callers that
-    /// must survive a dead peer use [`WorkerCtx::try_barrier`].
-    pub fn barrier(&self) {
-        self.try_barrier()
-            .unwrap_or_else(|e| panic!("worker {} barrier failed: {e}", self.rank()));
-    }
-
-    /// Fallible [`WorkerCtx::barrier`]: a peer dying while the barrier is
-    /// forming comes back as an error instead of a panic.
-    ///
     /// # Errors
     ///
-    /// Whatever the transport reports (disconnect, timeout, …).
+    /// Whatever the transport reports (a peer dying while the barrier is
+    /// forming, timeout, …).
     pub fn try_barrier(&self) -> Result<(), TransportError> {
         self.transport.barrier()
     }
@@ -726,13 +627,13 @@ mod tests {
             let peer = 1 - ctx.rank();
             {
                 let _p = ctx.phase_scope(Phase::ForwardFetch);
-                ctx.send(peer, 0, Payload::F32(vec![0.0; 250]));
-                let _ = ctx.recv(peer, 0);
+                ctx.try_send(peer, 0, Payload::F32(vec![0.0; 250])).unwrap();
+                ctx.try_recv(peer, 0).unwrap();
             }
             {
                 let _p = ctx.phase_scope(Phase::GradRouting);
-                ctx.send(peer, 1, Payload::F32(vec![0.0; 125]));
-                let _ = ctx.recv(peer, 1);
+                ctx.try_send(peer, 1, Payload::F32(vec![0.0; 125])).unwrap();
+                ctx.try_recv(peer, 1).unwrap();
             }
             ctx.stats()
         });
@@ -756,7 +657,7 @@ mod tests {
             // Even inside a ForwardFetch scope, collective traffic must be
             // ledgered as Collective.
             let _p = ctx.phase_scope(Phase::ForwardFetch);
-            let s = ctx.all_reduce_sum_scalar(1.0);
+            let s = ctx.all_reduce_sum_scalar(1.0).unwrap();
             assert_eq!(s, 2.0);
             ctx.stats()
         });
@@ -804,12 +705,13 @@ mod tests {
             for layer in 0..2u16 {
                 let _l = ctx.layer_scope(layer);
                 let _p = ctx.phase_scope(Phase::ForwardFetch);
-                ctx.send(
+                ctx.try_send(
                     peer,
                     layer as u64,
                     Payload::F32(vec![0.0; 100 * (layer as usize + 1)]),
-                );
-                let _ = ctx.recv(peer, layer as u64);
+                )
+                .unwrap();
+                ctx.try_recv(peer, layer as u64).unwrap();
             }
             assert_eq!(ctx.current_layer(), None);
             ctx.stats()
@@ -845,8 +747,8 @@ mod tests {
     fn self_sends_count_bytes_but_not_receives() {
         let out = Cluster::new(1, CostModel::default()).run(|ctx| {
             let _p = ctx.phase_scope(Phase::GradRouting);
-            ctx.send(0, 0, Payload::F32(vec![0.0; 10]));
-            let _ = ctx.recv(0, 0);
+            ctx.try_send(0, 0, Payload::F32(vec![0.0; 10])).unwrap();
+            ctx.try_recv(0, 0).unwrap();
             ctx.stats()
         });
         let route = out[0].result.ledger.phase_total(Phase::GradRouting);
@@ -862,8 +764,8 @@ mod tests {
             ctx.set_codec(Codec::F16);
             let peer = 1 - ctx.rank();
             let _p = ctx.phase_scope(Phase::ForwardFetch);
-            ctx.send(peer, 0, Payload::F32(vec![1.5; 250]));
-            let got = ctx.recv(peer, 0).into_f32();
+            ctx.try_send(peer, 0, Payload::F32(vec![1.5; 250])).unwrap();
+            let got = ctx.try_recv(peer, 0).unwrap().try_into_f32().unwrap();
             // 1.5 is exactly representable in f16, so values round-trip.
             assert_eq!(got, vec![1.5; 250]);
             ctx.stats()
@@ -891,8 +793,9 @@ mod tests {
             // Two "epochs" of identical data on one stream: the second
             // block deltas to almost nothing.
             for tag in 0..2u64 {
-                ctx.send(peer, tag, Payload::F32(values.clone()));
-                let got = ctx.recv(peer, tag).into_f32();
+                ctx.try_send(peer, tag, Payload::F32(values.clone()))
+                    .unwrap();
+                let got = ctx.try_recv(peer, tag).unwrap().try_into_f32().unwrap();
                 let same = got
                     .iter()
                     .zip(&values)
@@ -920,11 +823,11 @@ mod tests {
             let peer = 1 - ctx.rank();
             {
                 let _p = ctx.phase_scope(Phase::ForwardFetch);
-                ctx.send(peer, 0, Payload::F32(vec![2.0; 64]));
-                let _ = ctx.recv(peer, 0);
+                ctx.try_send(peer, 0, Payload::F32(vec![2.0; 64])).unwrap();
+                ctx.try_recv(peer, 0).unwrap();
             }
             ctx.set_codec(Codec::Int8);
-            let s = ctx.all_reduce_sum_scalar(1.0);
+            let s = ctx.all_reduce_sum_scalar(1.0).unwrap();
             assert_eq!(s, 2.0);
             ctx.stats()
         });
@@ -943,8 +846,8 @@ mod tests {
             ctx.set_codec(Codec::Int8);
             let _p = ctx.phase_scope(Phase::GradRouting);
             let values = vec![0.123_456_79_f32, -9.876_543e-4, f32::MIN_POSITIVE];
-            ctx.send(0, 0, Payload::F32(values.clone()));
-            let got = ctx.recv(0, 0).into_f32();
+            ctx.try_send(0, 0, Payload::F32(values.clone())).unwrap();
+            let got = ctx.try_recv(0, 0).unwrap().try_into_f32().unwrap();
             // Local math stays exact: int8 would have mangled these.
             let same = got
                 .iter()
@@ -1023,8 +926,8 @@ mod tests {
             assert_eq!(ctx.clock(), Clock::Wall);
             let peer = 1 - ctx.rank();
             let _p = ctx.phase_scope(Phase::ForwardFetch);
-            ctx.send(peer, 0, Payload::F32(vec![0.0; 250]));
-            let _ = ctx.recv(peer, 0);
+            ctx.try_send(peer, 0, Payload::F32(vec![0.0; 250])).unwrap();
+            ctx.try_recv(peer, 0).unwrap();
             ctx.stats()
         });
         for stats in &out {

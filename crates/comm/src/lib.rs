@@ -31,11 +31,9 @@
 //! ```
 //! use sar_comm::{Cluster, CostModel};
 //!
-//! let outcomes = Cluster::new(4, CostModel::default()).run(|ctx| {
-//!     let total = ctx.all_reduce_sum_scalar(ctx.rank() as f32);
-//!     total as u32
-//! });
-//! assert!(outcomes.iter().all(|o| o.result == 6)); // 0+1+2+3
+//! let outcomes = Cluster::new(4, CostModel::default())
+//!     .run(|ctx| ctx.all_reduce_sum_scalar(ctx.rank() as f32));
+//! assert!(outcomes.iter().all(|o| o.result.as_ref().ok() == Some(&6.0))); // 0+1+2+3
 //! ```
 
 pub mod buffer;

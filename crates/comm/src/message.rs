@@ -116,39 +116,9 @@ impl Payload {
             }),
         }
     }
-
-    /// Extracts an `f32` buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is not [`Payload::F32`]. Fallible callers
-    /// should use [`Payload::try_into_f32`].
-    pub fn into_f32(self) -> Vec<f32> {
-        self.try_into_f32().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Extracts a `u32` buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is not [`Payload::U32`]. Fallible callers
-    /// should use [`Payload::try_into_u32`].
-    pub fn into_u32(self) -> Vec<u32> {
-        self.try_into_u32().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Extracts a raw byte buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is not [`Payload::Bytes`]. Fallible callers
-    /// should use [`Payload::try_into_bytes`].
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.try_into_bytes().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
-/// An addressed message in flight, as handed to [`WorkerCtx`] by a
+/// An addressed message in flight, as handed to [`WorkerCtx`](crate::WorkerCtx) by a
 /// [`Transport`](crate::Transport) backend.
 #[derive(Debug)]
 pub struct Message {
@@ -176,18 +146,6 @@ mod tests {
     fn wire_len_adds_the_frame_header() {
         assert_eq!(Payload::F32(vec![0.0; 10]).wire_len(), WIRE_HEADER_LEN + 40);
         assert_eq!(Payload::Empty.wire_len(), WIRE_HEADER_LEN);
-    }
-
-    #[test]
-    fn into_f32_round_trips() {
-        let v = vec![1.0, 2.0];
-        assert_eq!(Payload::F32(v.clone()).into_f32(), v);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected F32")]
-    fn into_f32_rejects_u32() {
-        let _ = Payload::U32(vec![1]).into_f32();
     }
 
     #[test]

@@ -939,7 +939,7 @@ mod tests {
             let m = t.recv_any(Duration::from_secs(10)).unwrap();
             assert_eq!(m.src as usize, peer);
             assert_eq!(m.tag, 7);
-            m.payload.into_u32()[0]
+            m.payload.try_into_u32().unwrap()[0]
         });
         assert_eq!(out, vec![10, 0]);
     }
@@ -957,7 +957,7 @@ mod tests {
             got[t.rank()] = true;
             for _ in 0..n - 1 {
                 let m = t.recv_any(Duration::from_secs(10)).unwrap();
-                got[m.payload.into_u32()[0] as usize] = true;
+                got[m.payload.try_into_u32().unwrap()[0] as usize] = true;
             }
             got.iter().all(|&b| b)
         });
@@ -974,7 +974,7 @@ mod tests {
             let mut seen = Vec::with_capacity(50);
             for _ in 0..50 {
                 let m = t.recv_any(Duration::from_secs(10)).unwrap();
-                seen.push(m.payload.into_u32()[0]);
+                seen.push(m.payload.try_into_u32().unwrap()[0]);
             }
             seen
         });
@@ -1307,7 +1307,7 @@ mod tests {
             let blob: Vec<u8> = (0..=255).collect();
             t.send(peer, 3, Payload::Bytes(blob.clone())).unwrap();
             let m = t.recv_any(Duration::from_secs(10)).unwrap();
-            m.payload.into_bytes() == blob
+            m.payload.try_into_bytes().unwrap() == blob
         });
         assert!(out[0] && out[1]);
     }

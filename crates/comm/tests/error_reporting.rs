@@ -29,37 +29,51 @@ fn corrupt_display_names_peer_rank_and_byte_sizes() {
     );
 }
 
-/// Channel backend: a receive that times out panics with a message naming
-/// the waiting worker, the peer it waited on, and the tag.
+/// Asserts that a receive returned a timeout whose text names the
+/// waiting worker, the peer it waited on, and the tag.
+fn assert_names_the_wait(result: Result<sar_comm::Payload, TransportError>, wait: &str) {
+    match result {
+        Err(e @ TransportError::Timeout { .. }) => {
+            let msg = e.to_string();
+            assert!(msg.contains(wait), "must name the wait `{wait}`: {msg}");
+        }
+        other => panic!("expected a receive timeout, got {other:?}"),
+    }
+}
+
+/// Channel backend: a receive that times out returns an error naming the
+/// waiting worker, the peer it waited on, and the tag.
 #[test]
-#[should_panic(expected = "worker 0 waiting on (src=1, tag=99)")]
 fn channel_recv_timeout_names_worker_peer_and_tag() {
-    let _ = Cluster::new(2, CostModel::default())
+    let out = Cluster::new(2, CostModel::default())
         .recv_timeout(Duration::from_millis(100))
         .run(|ctx| {
-            if ctx.rank() == 0 {
-                // Wait for a message nobody sends.
-                let _ = ctx.recv(1, 99);
-            }
+            // Rank 0 waits for a message nobody sends.
+            (ctx.rank() == 0).then(|| ctx.try_recv(1, 99))
         });
+    let Some(result) = out.into_iter().next().and_then(|o| o.result) else {
+        panic!("rank 0 must report its receive");
+    };
+    assert_names_the_wait(result, "worker 0 waiting on (src=1, tag=99)");
 }
 
 /// TCP backend: the same receive-timeout report, through a `WorkerCtx`
 /// running over real sockets.
 #[test]
-#[should_panic(expected = "worker 0 waiting on (src=1, tag=7)")]
 fn tcp_recv_timeout_names_worker_peer_and_tag() {
-    let _ = run_tcp_threads(2, TcpOpts::default(), |t| {
+    let out = run_tcp_threads(2, TcpOpts::default(), |t| {
         let ctx = WorkerCtx::new(
             Box::new(t),
             CostModel::default(),
             Duration::from_millis(200),
         );
-        if ctx.rank() == 0 {
-            // Rank 1 exits immediately; nothing ever arrives under tag 7.
-            let _ = ctx.recv(1, 7);
-        }
+        // Rank 1 exits immediately; nothing ever arrives under tag 7.
+        (ctx.rank() == 0).then(|| ctx.try_recv(1, 7))
     });
+    let Some(result) = out.into_iter().next().flatten() else {
+        panic!("rank 0 must report its receive");
+    };
+    assert_names_the_wait(result, "worker 0 waiting on (src=1, tag=7)");
 }
 
 /// Completes the rendezvous + mesh handshake as a fake rank 1, then runs

@@ -15,7 +15,7 @@ proptest! {
             let mut data: Vec<f32> = (0..len)
                 .map(|i| ((seed + ctx.rank() as u64 * 31 + i as u64 * 7) % 97) as f32)
                 .collect();
-            ctx.all_reduce_sum(&mut data);
+            ctx.all_reduce_sum(&mut data).unwrap();
             data
         });
         let expect: Vec<f32> = (0..len)
@@ -35,7 +35,7 @@ proptest! {
         let root = root % world;
         let out = Cluster::new(world, CostModel::default()).run(move |ctx| {
             let mut data = vec![ctx.rank() as f32; len];
-            ctx.broadcast_f32(root, &mut data);
+            ctx.broadcast_f32(root, &mut data).unwrap();
             data
         });
         for o in out {
@@ -51,12 +51,12 @@ proptest! {
             let tag = 5;
             for dst in 0..ctx.world_size() {
                 if dst != ctx.rank() {
-                    ctx.send(dst, tag, Payload::F32(vec![1.0; len]));
+                    ctx.try_send(dst, tag, Payload::F32(vec![1.0; len])).unwrap();
                 }
             }
             for src in 0..ctx.world_size() {
                 if src != ctx.rank() {
-                    let _ = ctx.recv(src, tag);
+                    ctx.try_recv(src, tag).unwrap();
                 }
             }
         });
@@ -73,7 +73,7 @@ proptest! {
     #[test]
     fn all_gather_round_trips_rank_data(world in 1usize..6, len in 0usize..20) {
         let out = Cluster::new(world, CostModel::default()).run(move |ctx| {
-            ctx.all_gather_f32(&vec![ctx.rank() as f32; len])
+            ctx.all_gather_f32(&vec![ctx.rank() as f32; len]).unwrap()
         });
         for o in out {
             for (r, buf) in o.result.iter().enumerate() {

@@ -39,7 +39,12 @@ impl Function for DistBnFn {
         let mut buf = Vec::with_capacity(2 * f);
         buf.extend_from_slice(grad_output.sum_axis0().data());
         buf.extend_from_slice(grad_output.mul(output).sum_axis0().data());
-        self.w.ctx.all_reduce_sum(&mut buf);
+        self.w.ctx.all_reduce_sum(&mut buf).unwrap_or_else(|e| {
+            panic!(
+                "worker {} all-reducing batch-norm gradients: {e}",
+                self.w.rank()
+            )
+        });
         let mean_g = Tensor::from_vec(&[f], buf[..f].to_vec()).scale(1.0 / self.n_global);
         let mean_gy = Tensor::from_vec(&[f], buf[f..].to_vec()).scale(1.0 / self.n_global);
 
@@ -80,7 +85,8 @@ impl DistBatchNorm {
     ///
     /// # Panics
     ///
-    /// Panics if `x` width differs from the layer dimension.
+    /// Panics if `x` width differs from the layer dimension, or (naming
+    /// this rank) if the statistics all-reduce fails.
     pub fn forward(&self, w: &Rc<Worker>, x: &Var) -> Var {
         let f = x.value().cols();
         assert_eq!(f, self.gamma.value().numel(), "feature width mismatch");
@@ -92,7 +98,12 @@ impl DistBatchNorm {
             buf.extend_from_slice(xv.mul(&xv).sum_axis0().data());
             buf.push(xv.rows() as f32);
         }
-        w.ctx.all_reduce_sum(&mut buf);
+        w.ctx.all_reduce_sum(&mut buf).unwrap_or_else(|e| {
+            panic!(
+                "worker {} all-reducing batch-norm statistics: {e}",
+                w.rank()
+            )
+        });
         let n_global = buf[2 * f].max(1.0);
         let mean = Tensor::from_vec(&[f], buf[..f].to_vec()).scale(1.0 / n_global);
         let sq_mean = Tensor::from_vec(&[f], buf[f..2 * f].to_vec()).scale(1.0 / n_global);

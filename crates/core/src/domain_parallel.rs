@@ -55,7 +55,8 @@ impl Function for HaloFetchFn {
 ///
 /// # Panics
 ///
-/// Panics if `z` does not have one row per local node.
+/// Panics if `z` does not have one row per local node, or (naming this
+/// rank and the peer) if a peer dies or sends a malformed halo block.
 pub fn halo_fetch(w: &Rc<Worker>, z: &Var) -> Var {
     let n = w.world();
     let p = w.rank();
@@ -74,7 +75,9 @@ pub fn halo_fetch(w: &Rc<Worker>, z: &Var) -> Var {
         for r in 1..n {
             let q = (p + r) % n;
             let block = zv.gather_rows(w.graph.serves_to(q));
-            w.ctx.send(q, tag, Payload::F32(block.into_data()));
+            w.ctx
+                .try_send(q, tag, Payload::F32(block.into_data()))
+                .unwrap_or_else(|e| panic!("worker {p} serving halo to rank {q}: {e}"));
         }
     }
     let mut sections: Vec<Tensor> = Vec::with_capacity(n);
@@ -83,9 +86,10 @@ pub fn halo_fetch(w: &Rc<Worker>, z: &Var) -> Var {
             sections.push(z.value().gather_rows(w.graph.needed_from(p)));
         } else {
             let rows = w.graph.needed_from(q).len();
-            let data = w.ctx.recv(q, tag).into_f32();
-            assert_eq!(data.len(), rows * cols, "halo block size mismatch");
-            sections.push(Tensor::from_vec(&[rows, cols], data));
+            let block = w
+                .try_receive_block(q, tag, rows, cols)
+                .unwrap_or_else(|e| panic!("worker {p} fetching halo from rank {q}: {e}"));
+            sections.push(block);
         }
     }
     let refs: Vec<&Tensor> = sections.iter().collect();

@@ -301,18 +301,13 @@ impl Function for GatAggFn {
                 let mut d_z_block = grads.d_x_src;
                 d_z_block.add_assign(&dz_from_s);
                 let _route = w.ctx.phase_scope(Phase::GradRouting);
-                if q == w.rank() {
-                    // Local contribution: scattered below via a loop-back
-                    // send so all blocks take the same path.
-                    w.ctx.send(
-                        w.rank(),
-                        grad_tag,
-                        sar_comm::Payload::F32(d_z_block.into_data()),
-                    );
-                } else {
-                    w.ctx
-                        .send(q, grad_tag, sar_comm::Payload::F32(d_z_block.into_data()));
-                }
+                // The local contribution (q == rank) loops back through
+                // the context so all blocks take the same path below.
+                w.ctx
+                    .try_send(q, grad_tag, sar_comm::Payload::F32(d_z_block.into_data()))
+                    .unwrap_or_else(|e| {
+                        panic!("worker {} routing gradients to rank {q}: {e}", w.rank())
+                    });
             });
         }
 
@@ -326,9 +321,11 @@ impl Function for GatAggFn {
             let _route = w.ctx.phase_scope(Phase::GradRouting);
             for q in w.grad_route_partners() {
                 let rows = w.graph.serves_to(q);
-                let data = w.ctx.recv(q, grad_tag).into_f32();
-                assert_eq!(data.len(), rows.len() * hd, "grad block size mismatch");
-                let block = Tensor::from_vec(&[rows.len(), hd], data);
+                let block = w
+                    .try_receive_block(q, grad_tag, rows.len(), hd)
+                    .unwrap_or_else(|e| {
+                        panic!("worker {} routing gradients from rank {q}: {e}", w.rank())
+                    });
                 grad_z.scatter_add_rows(rows, &block);
             }
         }
@@ -337,7 +334,9 @@ impl Function for GatAggFn {
         // parameter gradient needs contributions from every worker's
         // destination edges.
         let mut buf = d_a_src.into_data();
-        w.ctx.all_reduce_sum(&mut buf);
+        w.ctx.all_reduce_sum(&mut buf).unwrap_or_else(|e| {
+            panic!("worker {} all-reducing attention gradients: {e}", w.rank())
+        });
         let d_a_src = Tensor::from_vec(&[hd], buf);
 
         vec![Some(grad_z), Some(d_s_dst), Some(d_a_src)]

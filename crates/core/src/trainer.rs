@@ -232,7 +232,9 @@ fn all_reduce_grads(w: &Worker, params: &[Var]) {
         }
         shapes.push(shape);
     }
-    w.ctx.all_reduce_sum(&mut buf);
+    w.ctx
+        .all_reduce_sum(&mut buf)
+        .unwrap_or_else(|e| panic!("worker {} all-reducing parameter gradients: {e}", w.rank()));
     let mut off = 0;
     for (p, shape) in params.iter().zip(shapes) {
         let len: usize = shape.iter().product();
@@ -250,6 +252,11 @@ fn all_reduce_grads(w: &Worker, params: &[Var]) {
 /// backend; most callers should use [`train`]. Takes the context as an
 /// `Rc` so the caller can keep a clone and read (or ship) the accumulated
 /// statistics after training.
+///
+/// # Panics
+///
+/// Panics, naming this rank and the operation, if a collective or an
+/// exchange fails (a peer died, timed out or sent a malformed block).
 pub fn run_worker(
     ctx: Rc<WorkerCtx>,
     graph: Arc<DistGraph>,
@@ -314,7 +321,11 @@ pub fn run_worker(
             (None, shard.train_mask.clone())
         };
         let local_predict = predict_mask.iter().filter(|&&m| m).count();
-        let global_predict = w.ctx.all_reduce_sum_scalar(local_predict as f32).max(1.0);
+        let global_predict = w
+            .ctx
+            .all_reduce_sum_scalar(local_predict as f32)
+            .unwrap_or_else(|e| panic!("worker {} all-reducing the label count: {e}", w.rank()))
+            .max(1.0);
 
         let x = Var::constant(build_input(shard, cfg.label_aug, aug_mask.as_deref()));
         let logits = model.forward(&w, &x, true, &mut dropout_rng);
@@ -326,7 +337,10 @@ pub fn run_worker(
         opt.step();
         opt.advance_epoch();
 
-        let global_loss = w.ctx.all_reduce_sum_scalar(loss.value().item());
+        let global_loss = w
+            .ctx
+            .all_reduce_sum_scalar(loss.value().item())
+            .unwrap_or_else(|e| panic!("worker {} all-reducing the loss: {e}", w.rank()));
         w.ctx.flush_phase_timing();
         let comm1 = w.ctx.stats();
         epochs.push(EpochRecord {
@@ -352,31 +366,26 @@ pub fn run_worker(
     let logits = sar_tensor::no_grad(|| model.forward(&w, &x, false, &mut dropout_rng));
     let logits_t = logits.value_clone();
 
-    let global_acc = |mask: &[bool]| -> f64 {
-        let (c, t) = correct_count(&logits_t, &shard.labels, mask);
+    let global_acc = |pred: &Tensor, mask: &[bool]| -> f64 {
+        let (c, t) = correct_count(pred, &shard.labels, mask);
         let mut buf = [c as f32, t as f32];
-        w.ctx.all_reduce_sum(&mut buf);
+        w.ctx
+            .all_reduce_sum(&mut buf)
+            .unwrap_or_else(|e| panic!("worker {} all-reducing accuracy counts: {e}", w.rank()));
         if buf[1] > 0.0 {
             (buf[0] / buf[1]) as f64
         } else {
             0.0
         }
     };
-    let val_acc = global_acc(&shard.val_mask);
-    let test_acc = global_acc(&shard.test_mask);
+    let val_acc = global_acc(&logits_t, &shard.val_mask);
+    let test_acc = global_acc(&logits_t, &shard.test_mask);
 
     let test_acc_cs = cfg.cs.as_ref().map(|cs_cfg| {
         let probs = logits_t.softmax_rows();
         let smoothed =
             dist_correct_and_smooth(&w, &probs, &shard.labels, &shard.train_mask, cs_cfg);
-        let (c, t) = correct_count(&smoothed, &shard.labels, &shard.test_mask);
-        let mut buf = [c as f32, t as f32];
-        w.ctx.all_reduce_sum(&mut buf);
-        if buf[1] > 0.0 {
-            (buf[0] / buf[1]) as f64
-        } else {
-            0.0
-        }
+        global_acc(&smoothed, &shard.test_mask)
     });
 
     // Settle trailing CPU attribution so the shared statistics the cluster

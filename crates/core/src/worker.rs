@@ -147,25 +147,10 @@ impl Worker {
         Worker::from_shared(Rc::new(ctx), graph, 0)
     }
 
-    /// Like [`Worker::new`] with the paper's single-block prefetch
-    /// (pipeline depth 1).
-    pub fn with_prefetch(ctx: WorkerCtx, graph: Arc<DistGraph>) -> Rc<Worker> {
-        Worker::from_shared(Rc::new(ctx), graph, 1)
-    }
-
-    /// Like [`Worker::new`] with an arbitrary pipeline depth.
-    pub fn with_prefetch_depth(
-        ctx: WorkerCtx,
-        graph: Arc<DistGraph>,
-        prefetch_depth: usize,
-    ) -> Rc<Worker> {
-        Worker::from_shared(Rc::new(ctx), graph, prefetch_depth)
-    }
-
-    /// Builds a worker over an already-shared communication context. The
-    /// caller keeps its `Rc` clone, e.g. to read the context's statistics
-    /// (or gather them over the transport) after training consumed the
-    /// worker.
+    /// Builds a worker with pipeline depth `prefetch_depth` over an
+    /// already-shared communication context. The caller keeps its `Rc`
+    /// clone, e.g. to read the context's statistics (or gather them over
+    /// the transport) after training consumed the worker.
     pub fn from_shared(
         ctx: Rc<WorkerCtx>,
         graph: Arc<DistGraph>,
@@ -197,19 +182,10 @@ impl Worker {
         graph: Arc<DistGraph>,
         view_index: u64,
     ) -> Rc<Worker> {
-        Rc::new(Worker {
-            ctx,
-            graph,
-            prefetch_depth: 0,
-            // Disjoint tag sub-spaces per view (2^20 tags each).
-            tags: Cell::new(view_index << 20),
-            protocol: Cell::new(Protocol::Exact),
-            epoch_fresh: Cell::new(true),
-            fetch_call: Cell::new(0),
-            stale_cache: RefCell::new(Vec::new()),
-            tier: RefCell::new(None),
-            remat_ids: Cell::new(0),
-        })
+        let w = Worker::from_shared(ctx, graph, 0);
+        // Disjoint tag sub-spaces per view (2^20 tags each).
+        w.tags.set(view_index << 20);
+        w
     }
 
     /// This worker's rank.
@@ -407,50 +383,45 @@ impl Worker {
     // sar-check: allow(phase-scope)
     fn serve(&self, data: &Tensor, dst: usize, tag: u64) {
         let buf = Worker::gather_pooled(data, self.graph.serve_table(dst), data.cols());
-        self.ctx.send_nowait(dst, tag, Payload::F32(buf));
+        self.ctx
+            .try_send(dst, tag, Payload::F32(buf))
+            .unwrap_or_else(|e| panic!("worker {} serving rank {dst}: {e}", self.rank()));
     }
 
-    /// Fallible block receive: `needed_from(src)` rows of width `cols`
-    /// from worker `src`. The received bytes are registered with *this*
-    /// worker's memory tracker — fetched partitions count against this
-    /// worker's peak, as in the paper's accounting.
+    /// Receives one `[rows, cols]` f32 block from worker `src` under
+    /// `tag` — the single receive-and-check behind the rotation fetch,
+    /// gradient routing and the domain-parallel halo. The received bytes
+    /// are registered with *this* worker's memory tracker, as in the
+    /// paper's accounting.
     ///
     /// # Errors
     ///
     /// Whatever [`WorkerCtx::try_recv`] reports (timeout, disconnect, …),
     /// plus [`TransportError::Corrupt`] naming `src` if the block arrives
     /// with the wrong dtype or element count — a malformed peer frame
-    /// becomes a clean nonzero exit instead of a process-poisoning panic.
-    // Helper of fetch_rounds, which opens the ForwardFetch/BackwardRefetch
+    /// becomes a typed error instead of a process-poisoning panic.
+    // Every caller opens its ForwardFetch/BackwardRefetch/GradRouting
     // scope before any receive.
     // sar-check: allow(phase-scope)
     pub fn try_receive_block(
         &self,
         src: usize,
         tag: u64,
+        rows: usize,
         cols: usize,
     ) -> Result<Tensor, TransportError> {
         let data = self.ctx.try_recv(src, tag)?.try_into_f32()?;
-        let rows = self.graph.needed_from(src).len();
         if data.len() != rows * cols {
             return Err(TransportError::Corrupt {
                 peer: src,
                 detail: format!(
-                    "fetched block has {} f32 elements, expected {rows} rows × {cols} cols = {}",
+                    "block has {} f32 elements, expected {rows} rows × {cols} cols = {}",
                     data.len(),
                     rows * cols
                 ),
             });
         }
         Ok(Tensor::from_vec(&[rows, cols], data))
-    }
-
-    /// Panicking wrapper over [`Worker::try_receive_block`], naming the
-    /// offending rank.
-    fn receive_block(&self, src: usize, tag: u64, cols: usize) -> Tensor {
-        self.try_receive_block(src, tag, cols).unwrap_or_else(|e| {
-            panic!("worker {} fetching block from rank {src}: {e}", self.rank())
-        })
     }
 
     /// The sequential rotation exchange of Algorithm 1, pipelined to depth
@@ -600,7 +571,13 @@ impl Worker {
                 FetchStep::GatherLocal => staged.push_back((p, None)),
                 FetchStep::Serve { dst, .. } => self.serve(data, dst, tag),
                 FetchStep::Fetch { src, .. } => {
-                    staged.push_back((src, Some(self.receive_block(src, tag, cols))));
+                    let rows = self.graph.needed_from(src).len();
+                    let block = self
+                        .try_receive_block(src, tag, rows, cols)
+                        .unwrap_or_else(|e| {
+                            panic!("worker {p} fetching block from rank {src}: {e}")
+                        });
+                    staged.push_back((src, Some(block)));
                 }
                 FetchStep::Consume { q } => {
                     let (staged_q, block) = staged.pop_front().unwrap_or_else(|| {
@@ -723,6 +700,11 @@ impl Worker {
     ///
     /// `make_block(q)` must return the gradient for the rows fetched from
     /// `q` during the forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming this rank and the peer, if a peer dies or sends a
+    /// malformed gradient block mid-exchange.
     pub fn exchange_grads(
         &self,
         cols: usize,
@@ -765,33 +747,18 @@ impl Worker {
                         );
                     }
                     self.ctx
-                        .send_nowait(dst, tag, Payload::F32(block.into_data()));
+                        .try_send(dst, tag, Payload::F32(block.into_data()))
+                        .unwrap_or_else(|e| {
+                            panic!("worker {p} routing gradients to rank {dst}: {e}")
+                        });
                 }
                 GradStep::Recv { src } => {
                     let rows = self.graph.serves_to(src);
-                    let data = self
-                        .ctx
-                        .try_recv(src, tag)
-                        .and_then(Payload::try_into_f32)
-                        .and_then(|data| {
-                            if data.len() == rows.len() * cols {
-                                Ok(data)
-                            } else {
-                                Err(TransportError::Corrupt {
-                                    peer: src,
-                                    detail: format!(
-                                        "gradient block has {} f32 elements, \
-                                         expected {} rows × {cols} cols",
-                                        data.len(),
-                                        rows.len()
-                                    ),
-                                })
-                            }
-                        })
+                    let block = self
+                        .try_receive_block(src, tag, rows.len(), cols)
                         .unwrap_or_else(|e| {
                             panic!("worker {p} routing gradients from rank {src}: {e}")
                         });
-                    let block = Tensor::from_vec(&[rows.len(), cols], data);
                     grad.scatter_add_rows(rows, &block);
                     buffer::recycle_f32(block.into_data());
                 }

@@ -3,6 +3,7 @@
 //! paper's central claim ("The results of training are exactly the same
 //! regardless of the number of machines").
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -327,7 +328,7 @@ fn prefetch_does_not_change_results() {
         let ids = graph.local_nodes().to_vec();
         let full_x = Tensor::from_vec(&[N_NODES, FEAT], xs.as_ref().clone());
         let z = Var::constant(full_x.gather_rows(&ids));
-        let w = Worker::with_prefetch(ctx, graph);
+        let w = Worker::from_shared(Rc::new(ctx), graph, 1);
         let agg = sage_aggregate(&w, &z);
         (ids, agg.value_clone().into_data())
     });

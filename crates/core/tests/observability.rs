@@ -13,6 +13,7 @@
 //! so every fetch/serve set is one full partition and the expected
 //! volumes are exact.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sar_comm::{Cluster, CommStats, CostModel, Phase};
@@ -214,7 +215,7 @@ fn prefetch_depth_k_fetch_peak_is_exactly_k_plus_two_blocks() {
         let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
             let rank = ctx.rank();
             let graph = Arc::clone(&graphs[rank]);
-            let w = Worker::with_prefetch_depth(ctx, graph, depth);
+            let w = Worker::from_shared(Rc::new(ctx), graph, depth);
             let z = Tensor::full(&[w.graph.num_local(), COLS], 1.0);
             w.fetch_rounds(&z, |_q, _block| {});
         });
@@ -242,7 +243,7 @@ fn prefetch_depth_k_fetch_peak_is_exactly_k_plus_two_blocks() {
     let graphs = Arc::new(dist_graphs());
     let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
-        let w = Worker::with_prefetch(ctx, Arc::clone(&graphs[rank]));
+        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), 1);
         assert_eq!(w.prefetch_depth, 1);
         let z = Tensor::full(&[w.graph.num_local(), COLS], 1.0);
         w.fetch_rounds(&z, |_q, _block| {});
@@ -281,7 +282,7 @@ fn run_gat_budget(depth: usize, budget: u64) -> Vec<(CommStats, Vec<u32>)> {
     let graphs = Arc::new(dist_graphs());
     let out = Cluster::new(WORLD, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
-        let w = Worker::with_prefetch_depth(ctx, Arc::clone(&graphs[rank]), depth);
+        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), depth);
         if budget > 0 {
             w.set_mem_budget(budget);
         }

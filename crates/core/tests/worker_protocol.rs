@@ -1,6 +1,7 @@
 //! Protocol-level tests of the Worker exchange primitives (fetch rounds,
 //! gradient routing) and of model replication.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -56,7 +57,7 @@ fn fetch_rounds_with_prefetch_same_payloads() {
     let graphs = Arc::new(graphs);
     let out = Cluster::new(world, CostModel::default()).run(move |ctx| {
         let rank = ctx.rank();
-        let w = Worker::with_prefetch(ctx, Arc::clone(&graphs[rank]));
+        let w = Worker::from_shared(Rc::new(ctx), Arc::clone(&graphs[rank]), 1);
         let data = Tensor::full(&[w.graph.num_local(), 1], rank as f32 + 1.0);
         let mut sums = 0.0f32;
         w.fetch_rounds(&data, |q, fetched| {

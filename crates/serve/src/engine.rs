@@ -529,7 +529,7 @@ impl ServeEngine {
         let bytes = proto::encode_ctrl(ctrl);
         let tag = batch_base(self.seq) + OFF_CTRL;
         for q in 1..self.world() {
-            self.ctx.send_nowait(q, tag, Payload::Bytes(bytes.clone()));
+            self.ctx.try_send(q, tag, Payload::Bytes(bytes.clone()))?;
         }
         Ok(())
     }
@@ -573,7 +573,7 @@ impl ServeEngine {
                 Ok((None, false))
             }
             Ctrl::Shutdown => {
-                self.quiesce();
+                self.quiesce()?;
                 Ok((None, true))
             }
         }
@@ -582,9 +582,9 @@ impl ServeEngine {
     /// The shutdown barrier: every rank parks here until the whole
     /// rotation has drained, so no rank exits while a peer still expects
     /// service.
-    fn quiesce(&self) {
+    fn quiesce(&self) -> Result<(), ServeError> {
         let _phase = self.ctx.phase_scope(Phase::Collective);
-        self.ctx.barrier();
+        Ok(self.ctx.try_barrier()?)
     }
 
     // ------------------------------------------------------------------
@@ -664,7 +664,7 @@ impl ServeEngine {
             for q in 0..world {
                 if q != p {
                     self.ctx
-                        .send_nowait(q, tag, Payload::U32(slice.req_rows[q].clone()));
+                        .try_send(q, tag, Payload::U32(slice.req_rows[q].clone()))?;
                 }
             }
             let mut serve_rows = vec![Vec::new(); world];
@@ -747,7 +747,7 @@ impl ServeEngine {
                     for &r in &lvl.serve_rows[q] {
                         buf.extend_from_slice(z.row(pos_of(r)? as usize));
                     }
-                    self.ctx.send_nowait(q, tag, Payload::F32(buf));
+                    self.ctx.try_send(q, tag, Payload::F32(buf))?;
                 }
 
                 // Consume blocks in the training rotation's order:
@@ -911,9 +911,9 @@ impl ServeEngine {
         }
         if p != 0 {
             self.ctx
-                .send_nowait(0, base + OFF_RES_POS, Payload::U32(positions));
+                .try_send(0, base + OFF_RES_POS, Payload::U32(positions))?;
             self.ctx
-                .send_nowait(0, base + OFF_RES_VAL, Payload::F32(values));
+                .try_send(0, base + OFF_RES_VAL, Payload::F32(values))?;
             return Ok(None);
         }
         let mut result = Tensor::zeros(&[num_queries, c]);

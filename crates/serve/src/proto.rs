@@ -312,7 +312,9 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ServeError> {
         }
         OP_STATS => {
             let n = c.u32()? as usize;
-            let mut counters = Vec::with_capacity(n);
+            // The count is untrusted: grow as values decode, never
+            // reserve it up front.
+            let mut counters = Vec::new();
             for _ in 0..n {
                 counters.push(c.u64()?);
             }
@@ -416,11 +418,13 @@ pub fn decode_ctrl(buf: &[u8]) -> Result<Ctrl, ServeError> {
             }
         }
         CTRL_RELOAD => {
+            // Both counts are untrusted: grow as entries decode, never
+            // reserve them up front.
             let count = c.u32()? as usize;
-            let mut params = Vec::with_capacity(count);
+            let mut params = Vec::new();
             for _ in 0..count {
                 let ndims = c.u32()? as usize;
-                let mut shape = Vec::with_capacity(ndims);
+                let mut shape = Vec::new();
                 for _ in 0..ndims {
                     shape.push(c.u32()? as usize);
                 }
@@ -518,5 +522,25 @@ mod tests {
         buf.push(0);
         assert!(matches!(decode_request(&buf), Err(ServeError::Protocol(_))));
         assert!(matches!(decode_ctrl(&[77]), Err(ServeError::Protocol(_))));
+    }
+
+    #[test]
+    fn huge_claimed_counts_are_errors_not_allocations() {
+        // A 5-byte reload claiming u32::MAX parameters, a reload whose one
+        // parameter claims u32::MAX dimensions, and a stats response
+        // claiming u32::MAX counters: each is a typed error, with no
+        // allocation sized by the claim.
+        assert!(matches!(
+            decode_ctrl(&[CTRL_RELOAD, 0xff, 0xff, 0xff, 0xff]),
+            Err(ServeError::Protocol(_))
+        ));
+        assert!(matches!(
+            decode_ctrl(&[CTRL_RELOAD, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]),
+            Err(ServeError::Protocol(_))
+        ));
+        assert!(matches!(
+            decode_response(&[STATUS_OK, OP_STATS, 0xff, 0xff, 0xff, 0xff]),
+            Err(ServeError::Protocol(_))
+        ));
     }
 }

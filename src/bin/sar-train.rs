@@ -60,71 +60,19 @@ use sar::bench::distrun::Workload;
 use sar::bench::launcher;
 use sar::bench::report::RunReport;
 use sar::comm::CostModel;
-use sar::core::{checkpoint, train, Arch, Mode, ModelConfig, TrainConfig};
-use sar::graph::{datasets, io, Dataset};
-use sar::nn::{ConfusionMatrix, CsConfig, LrSchedule};
-use sar::partition::{partition, Method};
+use sar::core::{checkpoint, train};
+use sar::graph::io;
+use sar::nn::ConfusionMatrix;
 
+/// The command line: the training run as a [`Workload`], plus the
+/// options that only `sar-train` has.
 struct Args {
     transport: String,
-    dataset: String,
     dataset_file: Option<String>,
-    nodes: usize,
     workers: usize,
-    arch: String,
-    mode: String,
-    layers: usize,
-    hidden: usize,
-    heads: usize,
-    epochs: usize,
-    lr: f32,
-    dropout: f32,
-    jk: bool,
-    label_aug: bool,
-    cs: bool,
-    prefetch_depth: usize,
-    partitioner: String,
-    threads: usize,
-    simd: String,
-    codec: String,
-    protocol: String,
-    mem_budget: u64,
     save_model: Option<String>,
     report_json: Option<String>,
-    seed: u64,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            transport: "sim".into(),
-            dataset: "products".into(),
-            dataset_file: None,
-            nodes: 4000,
-            workers: 4,
-            arch: "sage".into(),
-            mode: "sar-fak".into(),
-            layers: 3,
-            hidden: 128,
-            heads: 4,
-            epochs: 50,
-            lr: 0.01,
-            dropout: 0.3,
-            jk: false,
-            label_aug: true,
-            cs: true,
-            prefetch_depth: 0,
-            partitioner: "ml".into(),
-            threads: 1,
-            simd: "auto".into(),
-            codec: "raw".into(),
-            protocol: "exact".into(),
-            mem_budget: 0,
-            save_model: None,
-            report_json: None,
-            seed: 0,
-        }
-    }
+    workload: Workload,
 }
 
 fn fail(msg: &str) -> ! {
@@ -133,7 +81,25 @@ fn fail(msg: &str) -> ! {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args::default();
+    let mut args = Args {
+        transport: "sim".into(),
+        dataset_file: None,
+        workers: 4,
+        save_model: None,
+        report_json: None,
+        // sar-train's documented defaults; C&S and the step schedule
+        // (StepDecay{epochs/3, 0.5}) are the paper's recipe.
+        workload: Workload {
+            nodes: 4000,
+            hidden: 128,
+            mode: "sar-fak".into(),
+            epochs: 50,
+            cs: true,
+            schedule: "step".into(),
+            ..Workload::default()
+        },
+    };
+    let wl = &mut args.workload;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -144,37 +110,36 @@ fn parse_args() -> Args {
                 .cloned()
                 .unwrap_or_else(|| fail(&format!("missing value for {flag}")))
         };
+        fn num<T: std::str::FromStr>(flag: &str, v: String) -> T {
+            v.parse().unwrap_or_else(|_| fail(flag))
+        }
         match flag {
             "--transport" => args.transport = value(),
-            "--dataset" => args.dataset = value(),
+            "--dataset" => wl.dataset = value(),
             "--dataset-file" => args.dataset_file = Some(value()),
-            "--nodes" => args.nodes = value().parse().unwrap_or_else(|_| fail("--nodes")),
-            "--workers" => args.workers = value().parse().unwrap_or_else(|_| fail("--workers")),
-            "--arch" => args.arch = value(),
-            "--mode" => args.mode = value(),
-            "--layers" => args.layers = value().parse().unwrap_or_else(|_| fail("--layers")),
-            "--hidden" => args.hidden = value().parse().unwrap_or_else(|_| fail("--hidden")),
-            "--heads" => args.heads = value().parse().unwrap_or_else(|_| fail("--heads")),
-            "--epochs" => args.epochs = value().parse().unwrap_or_else(|_| fail("--epochs")),
-            "--lr" => args.lr = value().parse().unwrap_or_else(|_| fail("--lr")),
-            "--dropout" => args.dropout = value().parse().unwrap_or_else(|_| fail("--dropout")),
-            "--jk" => args.jk = true,
-            "--no-label-aug" => args.label_aug = false,
-            "--no-cs" => args.cs = false,
-            "--prefetch-depth" => {
-                args.prefetch_depth = value().parse().unwrap_or_else(|_| fail("--prefetch-depth"))
-            }
-            "--partitioner" => args.partitioner = value(),
-            "--threads" => args.threads = value().parse().unwrap_or_else(|_| fail("--threads")),
-            "--simd" => args.simd = value(),
-            "--codec" => args.codec = value(),
-            "--protocol" => args.protocol = value(),
-            "--mem-budget" => {
-                args.mem_budget = value().parse().unwrap_or_else(|_| fail("--mem-budget"))
-            }
+            "--nodes" => wl.nodes = num(flag, value()),
+            "--workers" => args.workers = num(flag, value()),
+            "--arch" => wl.arch = value(),
+            "--mode" => wl.mode = value(),
+            "--layers" => wl.layers = num(flag, value()),
+            "--hidden" => wl.hidden = num(flag, value()),
+            "--heads" => wl.heads = num(flag, value()),
+            "--epochs" => wl.epochs = num(flag, value()),
+            "--lr" => wl.lr = num(flag, value()),
+            "--dropout" => wl.dropout = num(flag, value()),
+            "--jk" => wl.jk = true,
+            "--no-label-aug" => wl.label_aug = false,
+            "--no-cs" => wl.cs = false,
+            "--prefetch-depth" => wl.prefetch_depth = num(flag, value()),
+            "--partitioner" => wl.partitioner = value(),
+            "--threads" => wl.threads = num(flag, value()),
+            "--simd" => wl.simd = value(),
+            "--codec" => wl.codec = value(),
+            "--protocol" => wl.protocol = value(),
+            "--mem-budget" => wl.mem_budget = num(flag, value()),
             "--save-model" => args.save_model = Some(value()),
             "--report-json" => args.report_json = Some(value()),
-            "--seed" => args.seed = value().parse().unwrap_or_else(|_| fail("--seed")),
+            "--seed" => wl.seed = num(flag, value()),
             "--help" | "-h" => {
                 eprintln!("see the doc comment at the top of src/bin/sar-train.rs");
                 std::process::exit(0);
@@ -184,18 +149,6 @@ fn parse_args() -> Args {
         i += 1;
     }
     args
-}
-
-fn load_dataset(args: &Args) -> Dataset {
-    if let Some(path) = &args.dataset_file {
-        return io::load_dataset(path)
-            .unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-    }
-    match args.dataset.as_str() {
-        "products" => datasets::products_like(args.nodes, args.seed),
-        "papers" => datasets::papers_like(args.nodes, args.seed),
-        other => fail(&format!("unknown dataset {other}")),
-    }
 }
 
 /// `--transport tcp`: delegate the run to one `sar-worker` OS process
@@ -215,44 +168,19 @@ fn run_tcp(args: &Args) -> ! {
              gathers ledgers and metrics to rank 0, not trained parameters",
         );
     }
-    let workload = Workload {
-        dataset: args.dataset.clone(),
-        nodes: args.nodes,
-        arch: args.arch.clone(),
-        hidden: args.hidden,
-        heads: args.heads,
-        mode: args.mode.clone(),
-        layers: args.layers,
-        jk: args.jk,
-        epochs: args.epochs,
-        lr: args.lr,
-        dropout: args.dropout,
-        label_aug: args.label_aug,
-        aug_frac: 0.5,
-        cs: args.cs,
-        prefetch_depth: args.prefetch_depth,
-        partitioner: args.partitioner.clone(),
-        // Matches the simulated path's StepDecay{epochs/3, 0.5} recipe.
-        schedule: "step".into(),
-        seed: args.seed,
-        threads: args.threads,
-        simd: args.simd.clone(),
-        codec: args.codec.clone(),
-        protocol: args.protocol.clone(),
-        mem_budget: args.mem_budget,
-    };
+    let wl = &args.workload;
     let exe = launcher::sibling_binary("sar-worker").unwrap_or_else(|e| fail(&e));
-    let mut worker_args = workload.to_args();
+    let mut worker_args = wl.to_args();
     worker_args.extend([
         "--experiment".to_string(),
-        format!("sar-train/{}", args.dataset),
+        format!("sar-train/{}", wl.dataset),
     ]);
     if let Some(path) = &args.report_json {
         worker_args.extend(["--out".to_string(), path.clone()]);
     }
     println!(
         "training {} / {} for {} epochs on {} OS processes over TCP ...",
-        args.arch, args.mode, args.epochs, args.workers
+        wl.arch, wl.mode, wl.epochs, args.workers
     );
     match launcher::spawn_ranks(&exe, args.workers, &worker_args) {
         Ok(()) => std::process::exit(0),
@@ -262,44 +190,30 @@ fn run_tcp(args: &Args) -> ! {
 
 fn main() {
     let args = parse_args();
+    let wl = &args.workload;
     // The tcp path re-validates in each rank process; the sim path
     // applies the dispatch mode here, before any kernels run.
-    match sar::tensor::simd::parse_mode(&args.simd) {
+    match sar::tensor::simd::parse_mode(&wl.simd) {
         Some(mode) => sar::tensor::simd::set_mode(mode),
-        None => fail(&format!("unknown --simd {} (auto|scalar)", args.simd)),
+        None => fail(&format!("unknown --simd {} (auto|scalar)", wl.simd)),
     }
     match args.transport.as_str() {
         "sim" => {}
         "tcp" => run_tcp(&args),
         other => fail(&format!("unknown transport {other} (sim or tcp)")),
     }
-    let dataset = load_dataset(&args);
-    let mode = match args.mode.as_str() {
-        "sar" => Mode::Sar,
-        "sar-fak" => Mode::SarFused,
-        "dp" => Mode::DomainParallel,
-        other => fail(&format!("unknown mode {other}")),
+    let (dataset, partitioning) = match &args.dataset_file {
+        Some(path) => {
+            let dataset = io::load_dataset(path)
+                .unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
+            let part = wl
+                .partition(&dataset, args.workers)
+                .unwrap_or_else(|e| fail(&e));
+            (dataset, part)
+        }
+        None => wl.build_data(args.workers).unwrap_or_else(|e| fail(&e)),
     };
-    let arch = match args.arch.as_str() {
-        "sage" => Arch::GraphSage {
-            hidden: args.hidden,
-        },
-        "gcn" => Arch::Gcn {
-            hidden: args.hidden,
-        },
-        "gat" => Arch::Gat {
-            head_dim: args.hidden,
-            heads: args.heads,
-        },
-        other => fail(&format!("unknown arch {other}")),
-    };
-    let method = match args.partitioner.as_str() {
-        "ml" => Method::Multilevel,
-        "random" => Method::Random,
-        "range" => Method::Range,
-        "bfs" => Method::Bfs,
-        other => fail(&format!("unknown partitioner {other}")),
-    };
+    let cfg = wl.train_config(&dataset).unwrap_or_else(|e| fail(&e));
 
     println!(
         "dataset {} | {} nodes, {} edges, {} classes",
@@ -308,56 +222,20 @@ fn main() {
         dataset.graph.num_edges(),
         dataset.num_classes
     );
-    let partitioning = partition(&dataset.graph, args.workers, method, args.seed);
     println!(
         "partitioned into {} parts | cut {:.1}% | balance {:.3}",
         args.workers,
         100.0 * partitioning.cut_fraction(&dataset.graph),
         partitioning.balance()
     );
-
-    let cfg = TrainConfig {
-        model: ModelConfig {
-            arch,
-            mode,
-            layers: args.layers,
-            in_dim: 0,
-            num_classes: dataset.num_classes,
-            dropout: args.dropout,
-            batch_norm: true,
-            jumping_knowledge: args.jk,
-            seed: args.seed,
-        },
-        epochs: args.epochs,
-        lr: args.lr,
-        schedule: LrSchedule::StepDecay {
-            every: (args.epochs / 3).max(1),
-            gamma: 0.5,
-        },
-        label_aug: args.label_aug,
-        aug_frac: 0.5,
-        cs: args.cs.then(CsConfig::default),
-        prefetch_depth: args.prefetch_depth,
-        seed: args.seed,
-        threads: args.threads,
-        protocol: sar::core::Protocol::parse(&args.protocol)
-            .unwrap_or_else(|e| fail(&format!("--protocol: {e}"))),
-        codec: sar::comm::Codec::parse(&args.codec).unwrap_or_else(|| {
-            fail(&format!(
-                "unknown --codec {} (raw|f16|bf16|int8|delta)",
-                args.codec
-            ))
-        }),
-        mem_budget: args.mem_budget,
-    };
     println!(
         "training {:?} / {:?} for {} epochs on {} workers ...",
-        arch, mode, args.epochs, args.workers
+        cfg.model.arch, cfg.model.mode, wl.epochs, args.workers
     );
     let report = train(&dataset, &partitioning, CostModel::default(), &cfg);
 
     for (e, loss) in report.losses.iter().enumerate() {
-        if e % (args.epochs / 10).max(1) == 0 || e + 1 == report.losses.len() {
+        if e % (wl.epochs / 10).max(1) == 0 || e + 1 == report.losses.len() {
             println!("epoch {e:>4}  loss {loss:.4}");
         }
     }
@@ -390,8 +268,8 @@ fn main() {
 
     let json_report = RunReport::from_train(
         format!("sar-train/{}", dataset.name),
-        &args.arch,
-        &args.mode,
+        &wl.arch,
+        &wl.mode,
         &report,
     );
     if let Some(path) = &args.report_json {

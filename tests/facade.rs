@@ -114,14 +114,15 @@ fn gat_modes_agree_through_facade() {
 
 #[test]
 fn cluster_collectives_compose_with_tensor_ops() {
+    use sar::comm::TransportError;
     use sar::tensor::Tensor;
-    let out = Cluster::new(4, CostModel::default()).run(|ctx| {
+    let out = Cluster::new(4, CostModel::default()).run(|ctx| -> Result<f32, TransportError> {
         let local = Tensor::full(&[3], (ctx.rank() + 1) as f32);
         let mut buf = local.into_data();
-        ctx.all_reduce_sum(&mut buf);
-        buf[0]
+        ctx.all_reduce_sum(&mut buf)?;
+        Ok(buf[0])
     });
-    assert!(out.iter().all(|o| o.result == 10.0));
+    assert!(out.iter().all(|o| o.result.as_ref().ok() == Some(&10.0)));
 }
 
 #[test]
